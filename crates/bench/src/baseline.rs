@@ -39,6 +39,7 @@ use fairsched_core::scheduler::{
     FairShareScheduler, FifoScheduler, RandScheduler, RefScheduler, Scheduler,
 };
 use fairsched_core::Trace;
+use fairsched_serve::{Daemon, Message, ServeConfig, SubmissionQueue};
 use fairsched_sim::{simulate, SimResult, SimSession};
 use fairsched_workloads::spec::{fpt_spec, WorkloadContext, WorkloadRegistry};
 use fairsched_workloads::{
@@ -239,15 +240,9 @@ fn run_scale(samples: usize) -> Vec<CaseResult> {
     // builds (a single sample is too noisy for the regression gate).
     let build_samples = samples.clamp(1, 3);
     let mut trace = scale_workload(SCALE_SEED);
-    let mut build_min = u128::MAX;
-    let mut build_total = 0u128;
-    for _ in 0..build_samples {
-        let started = Instant::now();
+    let (build_min, build_mean) = timed(build_samples, || {
         trace = std::hint::black_box(scale_workload(SCALE_SEED));
-        let ns = started.elapsed().as_nanos();
-        build_min = build_min.min(ns);
-        build_total += ns;
-    }
+    });
     let n = trace.n_jobs();
     assert!(
         n >= SCALE_MIN_JOBS,
@@ -263,8 +258,8 @@ fn run_scale(samples: usize) -> Vec<CaseResult> {
         n_jobs: n,
         horizon,
         samples: build_samples,
-        wall_ns_min: build_min as u64,
-        wall_ns_mean: (build_total / build_samples as u128) as u64,
+        wall_ns_min: build_min,
+        wall_ns_mean: build_mean,
         engine_events: n as u64,
         events_per_sec: n as f64 / (build_min as f64 / 1e9),
         lattice: None,
@@ -289,6 +284,159 @@ fn run_scale(samples: usize) -> Vec<CaseResult> {
         |_: &FairShareScheduler| None,
     ));
     out
+}
+
+/// Runs `run` `samples` times (at least once) and returns the fastest and
+/// the mean wall time, nanoseconds.
+fn timed(samples: usize, mut run: impl FnMut()) -> (u64, u64) {
+    let samples = samples.max(1);
+    let mut min = u128::MAX;
+    let mut total = 0u128;
+    for _ in 0..samples {
+        let started = Instant::now();
+        run();
+        let ns = started.elapsed().as_nanos();
+        min = min.min(ns);
+        total += ns;
+    }
+    (min as u64, (total / samples as u128) as u64)
+}
+
+/// Bytes each `json/` sample pushes through the codec, whatever the
+/// document size: small documents are processed more often, so every row
+/// clears [`COMPARE_FLOOR_NS`] and `wall_ns_min / engine_events` is ns per
+/// byte on each.
+const JSON_BYTES_PER_SAMPLE: usize = 8 << 20;
+
+/// A string-heavy document of at least `bytes` bytes of compact JSON, in
+/// the shape of what the durable tiers store: an array of small records
+/// with multi-byte and escaped text.
+fn json_document(bytes: usize) -> serde::Value {
+    use serde::Value;
+    let record = |i: usize| {
+        Value::Object(vec![
+            ("name".to_string(), Value::String(format!("org-{i} \"é λ\" a\\b\tend"))),
+            ("release".to_string(), Value::Number((i * 37).to_string())),
+            ("deadline".to_string(), Value::Null),
+            ("tags".to_string(), Value::Array(vec![Value::Bool(i.is_multiple_of(2)); 3])),
+        ])
+    };
+    let per_record = record(100_000).to_json().len() + 1;
+    Value::Array((0..bytes / per_record + 1).map(record).collect())
+}
+
+/// The codec rows behind every snapshot, cell and report read:
+/// `json/parse/64k` and `json/parse/1m` (ns per byte must agree — the
+/// parser is linear in document size) and `json/render_pretty/1m`.
+/// `engine_events` counts bytes of JSON text processed per sample.
+fn run_json_codec(samples: usize) -> Vec<CaseResult> {
+    let case = |name: &str, doc_bytes: usize, run: &mut dyn FnMut()| {
+        let reps = JSON_BYTES_PER_SAMPLE / doc_bytes;
+        let (min, mean) = timed(samples, || (0..reps).for_each(|_| run()));
+        let bytes = (reps * doc_bytes) as u64;
+        CaseResult {
+            name: name.to_string(),
+            scheduler: "json-codec".to_string(),
+            k: 0,
+            n_jobs: 0,
+            horizon: 0,
+            samples: samples.max(1),
+            wall_ns_min: min,
+            wall_ns_mean: mean,
+            engine_events: bytes,
+            events_per_sec: bytes as f64 / (min as f64 / 1e9),
+            lattice: None,
+        }
+    };
+    let mut out = Vec::new();
+    for (label, size) in [("64k", 64 << 10), ("1m", 1 << 20)] {
+        let text = json_document(size).to_json();
+        out.push(case(&format!("json/parse/{label}"), text.len(), &mut || {
+            // lint:allow(panic-free) the document was rendered by this codec a line above
+            std::hint::black_box(serde_json::parse_value(&text).expect("own rendering"));
+        }));
+    }
+    let doc = json_document(1 << 20);
+    let pretty_bytes = doc.to_json_pretty().len();
+    out.push(case("json/render_pretty/1m", pretty_bytes, &mut || {
+        std::hint::black_box(doc.to_json_pretty());
+    }));
+    out
+}
+
+/// Messages per `serve/drain` sample.
+const DRAIN_MESSAGES: u64 = 400;
+
+/// The online round trip, in process: [`DRAIN_MESSAGES`] messages (three
+/// submissions, then an advance of the clock by 5, repeated), each
+/// `SubmissionQueue::submit` → `Daemon::drain`, against a `ref` daemon
+/// over `fpt:k=6` in a fresh directory per sample. `engine_events` counts
+/// messages.
+fn run_serve_drain(samples: usize) -> CaseResult {
+    let k = 6u64;
+    let mut clock = 0u64;
+    let messages: Vec<Message> = (0..DRAIN_MESSAGES)
+        .map(|i| {
+            if i % 4 == 3 {
+                clock += 5;
+                Message::Advance { until: clock }
+            } else {
+                Message::Submit {
+                    org: (i % k) as u32,
+                    release: clock + 1 + i % 3,
+                    proc_time: 3 + i % 7,
+                    deadline: None,
+                }
+            }
+        })
+        .collect();
+    let dir = std::env::temp_dir()
+        .join(format!("fairsched-bench-serve-drain-{}", std::process::id()));
+    let config = ServeConfig {
+        workload: "fpt:k=6".to_string(),
+        scheduler: "ref".to_string(),
+        seed: 42,
+    };
+    // Only the message loop is timed: a fresh directory and an opened
+    // daemon per sample are set-up.
+    let mut walls = Vec::new();
+    let mut last = None;
+    for _ in 0..samples.max(1) {
+        let _ = std::fs::remove_dir_all(&dir);
+        // lint:allow(panic-free) a registry workload and scheduler in a fresh temp directory; a failure is a bug worth stopping the bench for
+        config.init(&dir).expect("serve directory initializes");
+        // lint:allow(panic-free) same contract as init above
+        let mut daemon = Daemon::open(&dir).expect("daemon opens");
+        // lint:allow(panic-free) same contract as init above
+        let queue = SubmissionQueue::open(&dir).expect("queue opens");
+        let started = Instant::now();
+        for message in &messages {
+            // lint:allow(panic-free) same contract as init above
+            queue.submit(message).expect("submit");
+            // lint:allow(panic-free) same engine contract as the batch rows
+            assert_eq!(daemon.drain().expect("drain"), 1);
+        }
+        walls.push(started.elapsed().as_nanos() as u64);
+        last = Some(daemon);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    // lint:allow(panic-free) the loop above runs at least once
+    let (daemon, min) = last.zip(walls.iter().copied().min()).expect("one sample ran");
+    let mean = walls.iter().sum::<u64>() / walls.len() as u64;
+    assert_eq!(daemon.applied_seq(), DRAIN_MESSAGES);
+    CaseResult {
+        name: format!("serve/drain/{DRAIN_MESSAGES}"),
+        scheduler: daemon.session().scheduler_name(),
+        k: k as usize,
+        n_jobs: daemon.session().trace().n_jobs(),
+        horizon: clock,
+        samples: samples.max(1),
+        wall_ns_min: min,
+        wall_ns_mean: mean,
+        engine_events: DRAIN_MESSAGES,
+        events_per_sec: DRAIN_MESSAGES as f64 / (min as f64 / 1e9),
+        lattice: None,
+    }
 }
 
 /// How many `step` calls the stepper overhead row crosses the horizon in
@@ -332,25 +480,18 @@ fn run_serve_overhead(samples: usize) -> Vec<CaseResult> {
     };
     let warm: SimResult = run();
     let engine_events = (trace.n_jobs() + warm.started_jobs + warm.completed_jobs) as u64;
-    let timed = samples.max(1);
-    let mut min = u128::MAX;
-    let mut total = 0u128;
-    for _ in 0..timed {
-        let started = Instant::now();
+    let (min, mean) = timed(samples, || {
         std::hint::black_box(run());
-        let ns = started.elapsed().as_nanos();
-        min = min.min(ns);
-        total += ns;
-    }
+    });
     let stepper = CaseResult {
         name: "serve/step_overhead/stepper/k=8".to_string(),
         scheduler: warm.scheduler,
         k: 8,
         n_jobs: trace.n_jobs(),
         horizon,
-        samples: timed,
-        wall_ns_min: min as u64,
-        wall_ns_mean: (total / timed as u128) as u64,
+        samples: samples.max(1),
+        wall_ns_min: min,
+        wall_ns_mean: mean,
         engine_events,
         events_per_sec: engine_events as f64 / (min as f64 / 1e9),
         lattice: None,
@@ -380,16 +521,10 @@ fn measure<S: Scheduler, B: Fn(&Trace) -> S, L: Fn(&S) -> Option<LatticeCounters
     let engine_events =
         (trace.n_jobs() + result.started_jobs + result.completed_jobs) as u64;
 
-    let mut min = u128::MAX;
-    let mut total = 0u128;
-    for _ in 0..samples {
-        let started = Instant::now();
+    let (min, mean) = timed(samples, || {
         let mut s = build(trace);
         std::hint::black_box(run(&mut s));
-        let ns = started.elapsed().as_nanos();
-        min = min.min(ns);
-        total += ns;
-    }
+    });
     CaseResult {
         name: name.to_string(),
         scheduler: result.scheduler,
@@ -397,8 +532,8 @@ fn measure<S: Scheduler, B: Fn(&Trace) -> S, L: Fn(&S) -> Option<LatticeCounters
         n_jobs: trace.n_jobs(),
         horizon,
         samples,
-        wall_ns_min: min as u64,
-        wall_ns_mean: (total / samples.max(1) as u128) as u64,
+        wall_ns_min: min,
+        wall_ns_mean: mean,
         engine_events,
         events_per_sec: engine_events as f64 / (min as f64 / 1e9),
         lattice: lattice_of(&warm),
@@ -445,6 +580,8 @@ pub fn run_baseline(paper_scale: bool, scale: bool, samples: usize) -> BaselineR
     ));
 
     cases.extend(run_serve_overhead(samples));
+    cases.push(run_serve_drain(samples));
+    cases.extend(run_json_codec(samples));
 
     if paper_scale {
         // Smoke matrix at the paper's experiment size: LPC-EGEE, scale
@@ -676,16 +813,35 @@ mod tests {
             assert!(c.engine_events > 0);
             assert!(c.events_per_sec > 0.0);
             let Some(lattice) = c.lattice.as_ref() else {
-                // The stepper row drives a boxed registry scheduler, so
-                // its lattice counters are unreachable through the trait
-                // object; every other row must expose them.
-                assert!(c.name.starts_with("serve/step_overhead/stepper"), "{}", c.name);
+                // The stepper and drain rows drive a boxed registry
+                // scheduler, so their lattice counters are unreachable
+                // through the trait object, and the codec rows have no
+                // scheduler; every other row must expose them.
+                assert!(
+                    ["serve/step_overhead/stepper", "serve/drain/", "json/"]
+                        .iter()
+                        .any(|prefix| c.name.starts_with(prefix)),
+                    "{}",
+                    c.name
+                );
                 continue;
             };
             assert!(lattice.settles > 0);
             assert!(lattice.sim_starts > 0);
         }
         assert!(report.summary.speedup_vs_reference > 0.0);
+        // The parser is linear in document size: a 16× larger document
+        // costs the same per byte (a quadratic one would show 16× here).
+        let ns_per_byte = |name: &str| {
+            let c = report.cases.iter().find(|c| c.name == name).expect(name);
+            c.wall_ns_min as f64 / c.engine_events as f64
+        };
+        let (small, large) =
+            (ns_per_byte("json/parse/64k"), ns_per_byte("json/parse/1m"));
+        assert!(
+            large / small < 1.5 && small / large < 1.5,
+            "json/parse ns per byte: 64k {small:.2}, 1m {large:.2}"
+        );
         // The trajectory rows: one per sample count, each with both
         // evaluators measured and the dedup'd point count.
         assert_eq!(report.timeline.len(), 3);

@@ -65,10 +65,6 @@ impl Value {
     }
 
     fn render(&self, out: &mut String, indent: Option<usize>, level: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * level), " ".repeat(w * (level + 1))),
-            None => ("", String::new(), String::new()),
-        };
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -84,12 +80,10 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    break_line(out, indent, level + 1);
                     item.render(out, indent, level + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                break_line(out, indent, level);
                 out.push(']');
             }
             Value::Object(entries) => {
@@ -102,8 +96,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    break_line(out, indent, level + 1);
                     escape_into(k, out);
                     out.push(':');
                     if indent.is_some() {
@@ -111,11 +104,25 @@ impl Value {
                     }
                     v.render(out, indent, level + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                break_line(out, indent, level);
                 out.push('}');
             }
         }
+    }
+}
+
+/// Under pretty rendering, a line break followed by `level` indents;
+/// nothing when compact.
+fn break_line(out: &mut String, indent: Option<usize>, level: usize) {
+    const SPACES: &str =
+        "                                                                ";
+    let Some(width) = indent else { return };
+    out.push('\n');
+    let mut pad = width * level;
+    while pad > 0 {
+        let n = pad.min(SPACES.len());
+        out.push_str(&SPACES[..n]);
+        pad -= n;
     }
 }
 

@@ -2,6 +2,15 @@
 //! facade's [`serde::Value`] tree: `to_string` / `to_string_pretty` render
 //! it, `from_str` parses JSON text back into any [`serde::Deserialize`]
 //! type.
+//!
+//! The parser sits under every durable tier (snapshots, experiment cells,
+//! queue messages, `trace:` workloads), some of whose input comes from
+//! outside the program, so it is linear in document size — strings are
+//! copied run by run, never re-validated — holds to the JSON grammar (no
+//! `1.`, `1e`, `01`; `\u` surrogate pairs decode, lone surrogates do
+//! not) except that raw control characters inside strings are accepted,
+//! and refuses nesting deeper than 128 levels with an ordinary [`Error`]
+//! rather than overflowing the stack.
 
 pub use serde::Value;
 use std::fmt;
@@ -41,21 +50,32 @@ pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T, Error> {
     T::from_value(&value).map_err(|e| Error(e.0))
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a cap a hostile `[[[[…` document overflows the stack
+/// and aborts the process; nothing the workspace writes nests past ten.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`] tree.
+///
+/// # Errors
+/// Malformed text, or nesting deeper than 128 levels, with the byte
+/// offset where parsing stopped.
 pub fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -64,7 +84,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -83,7 +103,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -97,25 +117,55 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
+    /// Runs an array or object parser one level down, within [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    /// Skips a run of ASCII digits; `false` if there was none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, kept as
+    /// its literal text.
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        let int_start = self.pos;
+        if !self.digits() {
+            return Err(self.err("malformed number"));
+        }
+        if self.pos - int_start > 1 && self.text.as_bytes()[int_start] == b'0' {
+            self.pos = int_start + 1;
+            return Err(self.err("leading zero in number"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(self.err("expected a digit after the decimal point"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -123,28 +173,64 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(self.err("expected a digit in the exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if text.is_empty() || text == "-" {
-            return Err(self.err("malformed number"));
+        Ok(Value::Number(self.text[start..self.pos].to_string()))
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, Error> {
+        let hex = self
+            .text
+            .as_bytes()
+            .get(at..at + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        hex.iter()
+            .try_fold(0u32, |code, b| Some(code * 16 + char::from(*b).to_digit(16)?))
+            .ok_or_else(|| self.err("bad \\u escape"))
+    }
+
+    /// A `\u` escape, `pos` on the `u`: one BMP code point, or a
+    /// high/low surrogate pair (`\ud83d\ude00`) naming an astral one.
+    /// Leaves `pos` on the escape's last hex digit.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let mut code = self.hex4(self.pos + 1)?;
+        if (0xD800..0xDC00).contains(&code) {
+            let low = match self.text.as_bytes().get(self.pos + 5..self.pos + 7) {
+                Some(b"\\u") => self.hex4(self.pos + 7)?,
+                _ => return Err(self.err("lone surrogate in \\u escape")),
+            };
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(self.err("lone surrogate in \\u escape"));
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            self.pos += 6;
         }
-        Ok(Value::Number(text.to_string()))
+        self.pos += 4;
+        char::from_u32(code).ok_or_else(|| self.err("lone surrogate in \\u escape"))
     }
 
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one piece:
+            // both are ASCII, so the run starts and ends on char boundaries
+            // of the (already valid) input text.
+            let rest = &self.text[self.pos..];
+            let run = rest.bytes().position(|b| matches!(b, b'"' | b'\\'));
+            let run = &rest[..run.unwrap_or(rest.len())];
+            out.push_str(run);
+            self.pos += run.len();
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -155,36 +241,10 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            // No surrogate-pair support: the workspace never
-                            // emits astral-plane escapes.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }

@@ -7,15 +7,20 @@
 //!   init; reopening with a different identity is refused.
 //! * `queue/accepted/` — the journal: the totally-ordered message log
 //!   (owned by [`SubmissionQueue`]).
-//! * `snapshot.json` — `{schema, applied_seq, session}`: the session's
-//!   replay-based snapshot plus the journal position it covers. Written
-//!   after every drain.
+//! * `snapshot.json` — `{schema, applied_seq, stopped, session}`: the
+//!   session's replay-based snapshot plus the journal position it covers.
+//!   Rewritten once the applied journal tail beyond it reaches
+//!   `SNAPSHOT_EVERY` (64) messages, and whenever a `stop` is applied —
+//!   not after every message: its cost grows with history, the cost of
+//!   replaying a bounded tail does not.
 //! * `trace.json`, `schedule.json` — the finalized run, written by
 //!   [`Daemon::finalize`] on clean shutdown.
 //!
 //! The recovery invariant: **journal ∘ snapshot = state**. On open, the
 //! daemon restores the snapshot (or starts fresh from `config.json`) and
-//! replays the accepted tail `seq > applied_seq`. Because the engine is
+//! replays the accepted tail `seq > applied_seq` — at most
+//! `SNAPSHOT_EVERY` journal files, whatever the history. The invariant
+//! holds for a snapshot of any staleness: because the engine is
 //! deterministic and results are rewritten idempotently, a `kill -9`
 //! anywhere — before acceptance, between acceptance and result, between
 //! result and snapshot — loses nothing and changes no byte of the final
@@ -39,6 +44,9 @@ use std::sync::{Arc, Mutex};
 pub const CONFIG_SCHEMA: &str = "fairsched-serve-config/v1";
 /// The schema tag of `snapshot.json`.
 pub const SNAPSHOT_SCHEMA: &str = "fairsched-serve-snapshot/v1";
+/// How many applied journal messages may lie beyond `snapshot.json`
+/// before it is rewritten: the bound on what a reopen replays.
+const SNAPSHOT_EVERY: u64 = 64;
 /// Sample count for the `/series` endpoint's ψ_sp timeline.
 const SERIES_SAMPLES: usize = 64;
 
@@ -195,6 +203,8 @@ pub struct Daemon {
     session: SimSession,
     /// Highest journal sequence number applied to the session.
     applied_seq: u64,
+    /// The journal position `snapshot.json` covers (0 before the first).
+    snapshot_seq: u64,
     /// Next sequence number to assign on acceptance.
     next_seq: u64,
     stopped: bool,
@@ -224,7 +234,7 @@ impl Daemon {
             // Older snapshots lack the flag; a missing field means a
             // still-running daemon wrote them.
             let stopped = matches!(v.get("stopped"), Some(Value::Bool(true)));
-            (SimSession::restore(&session_value.to_json())?, applied_seq, stopped)
+            (SimSession::restore_value(session_value)?, applied_seq, stopped)
         } else {
             (
                 SimSession::from_workload(
@@ -243,6 +253,7 @@ impl Daemon {
             queue,
             session,
             applied_seq,
+            snapshot_seq: applied_seq,
             next_seq,
             stopped,
             endpoints: Arc::new(Mutex::new(Endpoints::default())),
@@ -335,13 +346,20 @@ impl Daemon {
         };
         self.queue.write_result(seq, &outcome)?;
         self.applied_seq = seq;
+        // The snapshot trails the journal by a bounded tail: that is what
+        // keeps its O(history) rewrite off the per-message path and a
+        // reopen's replay short.
+        if self.stopped || seq.saturating_sub(self.snapshot_seq) >= SNAPSHOT_EVERY {
+            self.persist()?;
+        }
         Ok(())
     }
 
     /// One poll: accepts every pending inbox file (assigning sequence
-    /// numbers in stamp order), applies each, and — if anything was
-    /// processed — persists the snapshot and re-renders the endpoints.
-    /// Returns how many messages were processed.
+    /// numbers in stamp order), applies each — which rewrites the
+    /// snapshot when it has fallen `SNAPSHOT_EVERY` messages behind or a
+    /// `stop` was applied — and, if anything was processed, re-renders
+    /// the endpoints. Returns how many messages were processed.
     pub fn drain(&mut self) -> Result<usize, ServeError> {
         let pending = self.queue.pending()?;
         let mut processed = 0usize;
@@ -358,23 +376,21 @@ impl Daemon {
             }
         }
         if processed > 0 {
-            self.persist()?;
             self.refresh_endpoints()?;
         }
         Ok(processed)
     }
 
     /// Atomically writes `snapshot.json` covering the journal position.
-    pub fn persist(&self) -> Result<(), ServeError> {
-        let session = serde_json::parse_value(&self.session.snapshot())
-            .map_err(|e| ServeError::Render { message: e.to_string() })?;
+    pub fn persist(&mut self) -> Result<(), ServeError> {
         let snapshot = Value::Object(vec![
             ("schema".to_string(), Value::String(SNAPSHOT_SCHEMA.to_string())),
             ("applied_seq".to_string(), self.applied_seq.to_value()),
             ("stopped".to_string(), Value::Bool(self.stopped)),
-            ("session".to_string(), session),
+            ("session".to_string(), self.session.snapshot_value()),
         ]);
         atomic_write(&self.dir.join("snapshot.json"), &snapshot.to_json_pretty())?;
+        self.snapshot_seq = self.applied_seq;
         Ok(())
     }
 

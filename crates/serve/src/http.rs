@@ -5,7 +5,9 @@
 //! thread. The daemon therefore renders its three JSON documents
 //! *eagerly* after every drain into a shared [`Endpoints`] cell, and the
 //! listener thread serves those cached strings — `GET` never touches the
-//! engine, and a slow client can never stall a drain.
+//! engine, and a slow client can never stall a drain. The thread blocks
+//! in `accept` (no poll interval sits between a request and its answer);
+//! [`HttpServer::stop`] wakes it with a connection of its own.
 //!
 //! Routes (all `GET`, all `application/json`):
 //!
@@ -48,22 +50,21 @@ impl HttpServer {
         endpoints: Arc<Mutex<Endpoints>>,
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => serve_one(stream, &endpoints),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                    }
-                    Err(_) => {
-                        // Transient accept failure; keep listening.
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                    }
-                }
+        let handle = std::thread::spawn(move || loop {
+            // A blocking accept: a request is served the moment it
+            // arrives. `stop` sets the flag, then connects once to get
+            // the thread past this call.
+            let accepted = listener.accept();
+            if flag.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
+                Ok((stream, _)) => serve_one(stream, &endpoints),
+                // Transient accept failure; keep listening.
+                Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
             }
         });
         Ok(HttpServer { addr, shutdown, handle: Some(handle) })
@@ -75,18 +76,37 @@ impl HttpServer {
         self.addr
     }
 
-    /// Signals the listener thread and joins it.
+    /// Signals the listener thread, wakes it out of `accept` with one
+    /// connection to its own address, and joins it.
     pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
+        let woken = std::net::TcpStream::connect(self.wake_addr()).is_ok();
         if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+            // Unreachable own address: leave the thread to process exit
+            // rather than block shutdown on a join that cannot finish.
+            if woken {
+                let _ = handle.join();
+            }
         }
+    }
+
+    /// Where a local connection reaches the listener: the bound address,
+    /// with a wildcard bind (`0.0.0.0`, `::`) replaced by loopback.
+    fn wake_addr(&self) -> std::net::SocketAddr {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        addr
     }
 }
 
 /// Reads one request (header section only, capped) and writes one
 /// response. Any socket error just drops the connection — the protocol
-/// is read-only and the next poll retries.
+/// is read-only and the client's next request retries.
 fn serve_one(mut stream: std::net::TcpStream, endpoints: &Arc<Mutex<Endpoints>>) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));

@@ -14,8 +14,9 @@
 //!   `accepted/` journal, which assigns the total order everything else
 //!   replays.
 //! * [`Daemon`] — the control loop: drain inbox → apply to session →
-//!   write result → snapshot. Recovery is *journal ∘ snapshot = state*:
-//!   restore the snapshot, replay the accepted tail, continue.
+//!   write result, with a snapshot every 64 applied messages and on
+//!   `stop`. Recovery is *journal ∘ snapshot = state*: restore the
+//!   snapshot, replay the accepted tail (at most 64 files), continue.
 //! * [`HttpServer`] — a minimal `std::net` listener serving the cached
 //!   [`Endpoints`] documents (`GET /status`, `/report`, `/series`).
 //!

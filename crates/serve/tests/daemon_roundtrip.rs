@@ -1,7 +1,8 @@
 //! End-to-end daemon tests: the submission journal replayed through the
 //! daemon — including through a simulated `kill -9` (a daemon dropped
 //! without snapshotting its last acceptance) — reproduces the batch
-//! engine's schedule bit-for-bit.
+//! engine's schedule bit-for-bit. The kill-point sweep across snapshot
+//! cadences lives in the root package's `tests/serve_durability.rs`.
 
 use fairsched_core::model::OrgId;
 use fairsched_serve::{Daemon, HttpServer, Message, ServeConfig, SubmissionQueue};
@@ -61,7 +62,8 @@ fn crash_replay_reproduces_batch_schedule_bit_for_bit() {
     queue.accept(&inbox, 4).unwrap();
     drop(first);
 
-    // Restart: snapshot covers seq 1-3, the journal tail (seq 4) replays.
+    // Restart: three messages are short of a snapshot cadence, so the
+    // whole journal (seq 1-4, the un-applied one included) replays.
     let mut second = Daemon::open(&dir).unwrap();
     assert_eq!(second.applied_seq(), 4);
     assert_eq!(second.session().admissions().len(), 2);

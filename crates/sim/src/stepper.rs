@@ -243,35 +243,36 @@ impl SimSession {
         )
     }
 
-    /// Serializes the session as a replay snapshot (compact JSON):
-    /// scheduler spec + seed, the base trace, the admission log, and the
-    /// stepped-to mark. [`restore`](SimSession::restore) inverts it.
-    pub fn snapshot(&self) -> String {
-        let stepped = match self.engine.stepped_to() {
-            Some(t) => Value::Number(t.to_string()),
-            None => Value::Null,
-        };
+    /// The session as a replay snapshot tree: scheduler spec + seed, the
+    /// base trace, the admission log, and the stepped-to mark.
+    /// [`restore_value`](SimSession::restore_value) inverts it; callers
+    /// that embed the snapshot in a larger document nest this tree rather
+    /// than re-parsing [`snapshot`](SimSession::snapshot)'s text.
+    pub fn snapshot_value(&self) -> Value {
         Value::Object(vec![
             ("schema".to_string(), Value::String(SNAPSHOT_SCHEMA.to_string())),
             ("scheduler".to_string(), Value::String(self.spec.to_string())),
             ("seed".to_string(), self.seed.to_value()),
-            ("stepped_to".to_string(), stepped),
+            ("stepped_to".to_string(), self.engine.stepped_to().to_value()),
             ("base_trace".to_string(), self.base_trace.to_value()),
             ("admissions".to_string(), self.admissions.to_value()),
         ])
-        .to_json()
     }
 
-    /// Rebuilds a session from a [`snapshot`](SimSession::snapshot):
-    /// the scheduler is reconstructed from the base trace (same spec,
-    /// same seed), the admission log is replayed, and the engine steps
-    /// to the recorded mark. Determinism of the engine and of every
-    /// registered scheduler makes the result bit-identical to the
-    /// session that was snapshotted.
-    pub fn restore(snapshot: &str) -> Result<Self, SimError> {
-        let v = serde_json::parse_value(snapshot)
-            .map_err(|e| SimError::Snapshot { message: e.to_string() })?;
-        let schema: String = field(&v, "schema")?;
+    /// [`snapshot_value`](SimSession::snapshot_value) as compact JSON.
+    pub fn snapshot(&self) -> String {
+        self.snapshot_value().to_json()
+    }
+
+    /// Rebuilds a session from a
+    /// [`snapshot_value`](SimSession::snapshot_value) tree: the scheduler
+    /// is reconstructed from the base trace (same spec, same seed), the
+    /// admission log is replayed, and the engine steps to the recorded
+    /// mark. Determinism of the engine and of every registered scheduler
+    /// makes the result bit-identical to the session that was
+    /// snapshotted.
+    pub fn restore_value(v: &Value) -> Result<Self, SimError> {
+        let schema: String = field(v, "schema")?;
         if schema != SNAPSHOT_SCHEMA {
             return Err(SimError::Snapshot {
                 message: format!(
@@ -279,11 +280,11 @@ impl SimSession {
                 ),
             });
         }
-        let spec_str: String = field(&v, "scheduler")?;
-        let seed: u64 = field(&v, "seed")?;
-        let stepped_to: Option<Time> = field(&v, "stepped_to")?;
-        let base_trace: Trace = field(&v, "base_trace")?;
-        let admissions: Vec<Admission> = field(&v, "admissions")?;
+        let spec_str: String = field(v, "scheduler")?;
+        let seed: u64 = field(v, "seed")?;
+        let stepped_to: Option<Time> = field(v, "stepped_to")?;
+        let base_trace: Trace = field(v, "base_trace")?;
+        let admissions: Vec<Admission> = field(v, "admissions")?;
         let spec: SchedulerSpec = spec_str.parse()?;
         let mut session = Self::from_parts(base_trace, spec, seed)?;
         // Replay in admission order *before* stepping: equal-release ties
@@ -296,6 +297,13 @@ impl SimSession {
             session.step(t)?;
         }
         Ok(session)
+    }
+
+    /// [`restore_value`](SimSession::restore_value) over snapshot text.
+    pub fn restore(snapshot: &str) -> Result<Self, SimError> {
+        let v = serde_json::parse_value(snapshot)
+            .map_err(|e| SimError::Snapshot { message: e.to_string() })?;
+        Self::restore_value(&v)
     }
 }
 
