@@ -29,7 +29,10 @@
 //! 6, 8 — the same family as `benches/lattice.rs`) plus RAND at `k` = 8;
 //! `--paper-scale` appends a smoke matrix at the paper's experiment size
 //! (LPC-EGEE at scale 1.0, horizon 5·10⁴, 5 organizations) so the numbers
-//! track the configuration Tables 1–2 actually run. The criterion suites
+//! track the configuration Tables 1–2 actually run. Beside the lattice
+//! rows sit the user paths that have no scheduler of their own: the serve
+//! round trip (`serve/`), the `experiment run` grid clean and resumed
+//! (`e2e/experiment/`), and the JSON codec (`json/`). The criterion suites
 //! (`cargo bench -p fairsched-bench`) complement this file with
 //! micro-level numbers; CI's `bench-smoke` job runs both and uploads the
 //! JSON as an artifact.
@@ -37,10 +40,12 @@
 use fairsched_core::scheduler::lattice::LatticeStats;
 use fairsched_core::scheduler::{
     FairShareScheduler, FifoScheduler, RandScheduler, RefScheduler, Scheduler,
+    SchedulerSpec,
 };
 use fairsched_core::Trace;
+use fairsched_experiment::{ExperimentSpec, Runner, RunnerOptions, SeedPlan};
 use fairsched_serve::{Daemon, Message, ServeConfig, SubmissionQueue};
-use fairsched_sim::{simulate, SimResult, SimSession};
+use fairsched_sim::{simulate, MetricSpec, SimResult, SimSession};
 use fairsched_workloads::spec::{fpt_spec, WorkloadContext, WorkloadRegistry};
 use fairsched_workloads::{
     generate, synth_spec, to_trace, MachineSplit, PresetName, SynthConfig,
@@ -439,6 +444,73 @@ fn run_serve_drain(samples: usize) -> CaseResult {
     }
 }
 
+/// The `experiment run` user path, in process: a Table-1-style grid —
+/// `fpt:k=3|4|5|6` at horizon 1000 × five schedulers and a `ref` column ×
+/// 20 coupled seeds, with the REF-referenced `delay` — through
+/// [`Runner::run`] into a fresh directory (`e2e/experiment/tiny_grid`:
+/// per row one trace build and one REF run, per cell one journaled
+/// commit), then resumed over the committed directory
+/// (`e2e/experiment/tiny_grid_resume`: decode, skip and aggregate every
+/// cell). 480 cells, so that the resume too clears [`COMPARE_FLOOR_NS`].
+/// `engine_events` counts cells.
+fn run_experiment_grid(samples: usize) -> Vec<CaseResult> {
+    let mut spec = ExperimentSpec::new(
+        "bench-tiny-grid",
+        [3, 4, 5, 6].map(|k| fpt_spec(k).with("horizon", 1_000)).to_vec(),
+        vec![
+            SchedulerSpec::bare("fifo"),
+            SchedulerSpec::bare("roundrobin"),
+            SchedulerSpec::bare("fairshare"),
+            SchedulerSpec::bare("directcontr"),
+            SchedulerSpec::bare("rand").with("perms", 15),
+            SchedulerSpec::bare("ref"),
+        ],
+    );
+    spec.metrics = vec![MetricSpec::bare("delay"), MetricSpec::bare("psi")];
+    spec.horizon = Some(1_000);
+    spec.seeds =
+        SeedPlan { base: 42, count: 20, workload_stride: 1, scheduler_stride: 1 };
+    let cells = spec.n_cells();
+    let dir = std::env::temp_dir()
+        .join(format!("fairsched-bench-tiny-grid-{}", std::process::id()));
+    let run = |resume: bool| {
+        let options = RunnerOptions { resume, ..RunnerOptions::default() };
+        let started = Instant::now();
+        // lint:allow(panic-free) registry specs in a fresh temp directory; a failure is a bug worth stopping the bench for
+        let summary = Runner::new(spec.clone(), &dir, options).run().expect("grid runs");
+        let wall = started.elapsed().as_nanos() as u64;
+        let expected = if resume { (0, cells, 0) } else { (cells, 0, 0) };
+        assert_eq!((summary.computed, summary.skipped, summary.failed), expected);
+        wall
+    };
+    let (mut clean, mut resumed) = (Vec::new(), Vec::new());
+    for _ in 0..samples.max(1) {
+        let _ = std::fs::remove_dir_all(&dir);
+        clean.push(run(false));
+        resumed.push(run(true));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    [("e2e/experiment/tiny_grid", clean), ("e2e/experiment/tiny_grid_resume", resumed)]
+        .into_iter()
+        .map(|(name, walls)| {
+            let min = walls.iter().copied().min().unwrap_or(0);
+            CaseResult {
+                name: name.to_string(),
+                scheduler: "experiment-runner".to_string(),
+                k: 6,
+                n_jobs: 0,
+                horizon: 1_000,
+                samples: walls.len(),
+                wall_ns_min: min,
+                wall_ns_mean: walls.iter().sum::<u64>() / walls.len() as u64,
+                engine_events: cells,
+                events_per_sec: cells as f64 / (min as f64 / 1e9),
+                lattice: None,
+            }
+        })
+        .collect()
+}
+
 /// How many `step` calls the stepper overhead row crosses the horizon in
 /// (the serving daemon's advance cadence, exaggerated for measurement).
 const STEP_CHUNKS: u64 = 100;
@@ -581,6 +653,7 @@ pub fn run_baseline(paper_scale: bool, scale: bool, samples: usize) -> BaselineR
 
     cases.extend(run_serve_overhead(samples));
     cases.push(run_serve_drain(samples));
+    cases.extend(run_experiment_grid(samples));
     cases.extend(run_json_codec(samples));
 
     if paper_scale {
@@ -813,12 +886,12 @@ mod tests {
             assert!(c.engine_events > 0);
             assert!(c.events_per_sec > 0.0);
             let Some(lattice) = c.lattice.as_ref() else {
-                // The stepper and drain rows drive a boxed registry
-                // scheduler, so their lattice counters are unreachable
-                // through the trait object, and the codec rows have no
-                // scheduler; every other row must expose them.
+                // The stepper, drain and experiment rows drive boxed
+                // registry schedulers, so their lattice counters are
+                // unreachable through the trait object, and the codec
+                // rows have no scheduler; every other row must expose them.
                 assert!(
-                    ["serve/step_overhead/stepper", "serve/drain/", "json/"]
+                    ["serve/step_overhead/stepper", "serve/drain/", "e2e/", "json/"]
                         .iter()
                         .any(|prefix| c.name.starts_with(prefix)),
                     "{}",
@@ -853,6 +926,7 @@ mod tests {
         }
         let json = serde_json::to_string_pretty(&report).unwrap();
         assert!(json.contains("fairsched-bench-lattice/v1"));
+        assert!(json.contains("e2e/experiment/tiny_grid_resume"));
         assert!(json.contains("events_per_sec"));
         assert!(json.contains("timeline/k=8/s=1024"));
         assert!(json.contains("speedup_vs_oracle"));

@@ -151,14 +151,23 @@ pub struct GeneralRefScheduler {
 }
 
 impl GeneralRefScheduler {
+    /// The most organizations the general REF runs (each decision
+    /// re-evaluates `2^k` materialized schedules).
+    pub const MAX_ORGS: usize = 12;
+
     /// Builds the general REF for `trace` under `utility`.
     ///
     /// # Panics
-    /// Panics if the trace has more than 12 organizations (each decision
-    /// re-evaluates `2^k` materialized schedules).
+    /// Panics if the trace has more than [`MAX_ORGS`](Self::MAX_ORGS)
+    /// organizations (the registry's `general-ref` factory checks first
+    /// and returns a typed error).
     pub fn new(trace: &Trace, utility: impl Utility + Send + Sync + 'static) -> Self {
         let k = trace.n_orgs();
-        assert!(k <= 12, "general REF supports at most 12 organizations");
+        assert!(
+            k <= Self::MAX_ORGS,
+            "general REF supports at most {} organizations",
+            Self::MAX_ORGS
+        );
         let machines: Vec<usize> = trace.orgs().iter().map(|o| o.n_machines).collect();
         let grand = Coalition::grand(k);
         let mut sims = Vec::new();

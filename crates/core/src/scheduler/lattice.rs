@@ -471,21 +471,49 @@ pub struct CoalitionLattice {
     stats: LatticeStats,
 }
 
+/// The most organizations [`CoalitionLattice::full_proper`] tracks: the
+/// full lattice holds `2^k − 2` sub-schedules.
+pub const MAX_FULL_ORGS: usize = 16;
+
+/// A full lattice was requested for more than [`MAX_FULL_ORGS`]
+/// organizations.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct TooManyOrgs {
+    /// The organization count that was asked for.
+    pub n_orgs: usize,
+}
+
+impl std::fmt::Display for TooManyOrgs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "the full coalition lattice supports at most {MAX_FULL_ORGS} organizations, \
+             got {}",
+            self.n_orgs
+        )
+    }
+}
+
+impl std::error::Error for TooManyOrgs {}
+
 impl CoalitionLattice {
     /// A lattice tracking **every non-empty proper subcoalition** of the
     /// grand coalition, scheduling each with the fair (Shapley) rule — the
     /// configuration REF needs. `machines[u]` is organization `u`'s machine
     /// count.
     ///
-    /// # Panics
-    /// Panics if `n_orgs > 16` (`2^k` sims; REF is an FPT benchmark).
-    pub fn full_proper(machines: &[usize]) -> Self {
+    /// More than [`MAX_FULL_ORGS`] organizations is a typed
+    /// [`TooManyOrgs`] error (`2^k` sims; REF is an FPT benchmark): the
+    /// organization count comes from the workload, i.e. from outside.
+    pub fn full_proper(machines: &[usize]) -> Result<Self, TooManyOrgs> {
         let n_orgs = machines.len();
-        assert!(n_orgs <= 16, "full lattice supports at most 16 organizations");
+        if n_orgs > MAX_FULL_ORGS {
+            return Err(TooManyOrgs { n_orgs });
+        }
         let grand = Coalition::grand(n_orgs);
         let coalitions: Vec<Coalition> =
             grand.proper_subsets().filter(|c| !c.is_empty()).collect();
-        Self::with_coalitions(machines, &coalitions, Policy::Fair)
+        Ok(Self::with_coalitions(machines, &coalitions, Policy::Fair))
     }
 
     /// A lattice tracking an explicit set of coalitions with the given
@@ -1023,14 +1051,14 @@ mod tests {
 
     #[test]
     fn full_proper_counts() {
-        let l = CoalitionLattice::full_proper(&[1, 1, 1]);
+        let l = CoalitionLattice::full_proper(&[1, 1, 1]).unwrap();
         // Non-empty proper subsets of a 3-set: 2^3 - 2 = 6.
         assert_eq!(l.n_coalitions(), 6);
     }
 
     #[test]
     fn singleton_schedules_fifo() {
-        let mut l = CoalitionLattice::full_proper(&[1, 2]);
+        let mut l = CoalitionLattice::full_proper(&[1, 2]).unwrap();
         // Org 0 releases two unit jobs at t=0.
         l.release(0, OrgId(0), 1);
         l.release(0, OrgId(0), 1);
@@ -1066,7 +1094,7 @@ mod tests {
     fn proposition_5_5_values() {
         // The supermodularity counterexample: orgs a, b with 2 unit jobs
         // each at t=0, org c jobless; 1 machine each. Values at t=2.
-        let mut l = CoalitionLattice::full_proper(&[1, 1, 1]);
+        let mut l = CoalitionLattice::full_proper(&[1, 1, 1]).unwrap();
         for _ in 0..2 {
             l.release(0, OrgId(0), 1);
             l.release(0, OrgId(1), 1);
@@ -1181,7 +1209,7 @@ mod tests {
     fn shapley_efficiency_on_lattice() {
         // Random-ish 3-org setup; check Σφ = v(C)·|C|! for the tracked
         // 2-coalitions.
-        let mut l = CoalitionLattice::full_proper(&[2, 1, 1]);
+        let mut l = CoalitionLattice::full_proper(&[2, 1, 1]).unwrap();
         l.release(0, OrgId(0), 3);
         l.release(1, OrgId(1), 2);
         l.release(1, OrgId(2), 4);
@@ -1201,7 +1229,7 @@ mod tests {
         // querying φ at every step; the cached polynomial must equal the
         // from-scratch oracle every time (including pure time passage with
         // no new events, where the cache is served verbatim).
-        let mut l = CoalitionLattice::full_proper(&[1, 2, 1, 1]);
+        let mut l = CoalitionLattice::full_proper(&[1, 2, 1, 1]).unwrap();
         let grand = Coalition::grand(4);
         let script: &[(Time, u32, Time)] = &[
             (0, 0, 3),
@@ -1251,7 +1279,7 @@ mod tests {
             probe_orgs in proptest::collection::vec(0u32..4, 3),
             extra in 1u64..25,
         ) {
-            let mut l = CoalitionLattice::full_proper(&[1, 2, 1, 1]);
+            let mut l = CoalitionLattice::full_proper(&[1, 2, 1, 1]).unwrap();
             let grand = Coalition::grand(4);
             let mut t = 0;
             for (i, &(dt, org, proc)) in events.iter().enumerate() {
@@ -1289,7 +1317,7 @@ mod tests {
 
     #[test]
     fn settled_lattice_serves_phi_from_cache() {
-        let mut l = CoalitionLattice::full_proper(&[1, 1, 1]);
+        let mut l = CoalitionLattice::full_proper(&[1, 1, 1]).unwrap();
         l.release(0, OrgId(0), 2);
         l.release(0, OrgId(1), 1);
         l.settle(10); // everything completed well before 10
@@ -1332,7 +1360,7 @@ mod tests {
 
     #[test]
     fn stats_track_release_fanout_and_rounds() {
-        let mut l = CoalitionLattice::full_proper(&[1, 1, 1]);
+        let mut l = CoalitionLattice::full_proper(&[1, 1, 1]).unwrap();
         l.release(0, OrgId(0), 1);
         // Org 0 appears in 3 of the 6 proper subcoalitions: {0}, {0,1}, {0,2}.
         assert_eq!(l.stats().releases, 3);

@@ -17,7 +17,7 @@
 //! execution-oracle boundary documented in DESIGN.md. Construct it with
 //! [`RefScheduler::new`] from the trace the engine will replay.
 
-use super::lattice::CoalitionLattice;
+use super::lattice::{CoalitionLattice, TooManyOrgs};
 use super::{OrgPicker, Scheduler, SelectContext, StepBumps};
 use crate::model::{ClusterInfo, JobMeta, MachineId, OrgId, Time, Trace};
 use crate::utility::{SpTracker, Util};
@@ -38,24 +38,33 @@ pub struct RefScheduler {
 
 impl RefScheduler {
     /// Builds REF for a trace (machine layout and the duration oracle are
-    /// read from it).
-    ///
-    /// # Panics
-    /// Panics if the trace has more than 16 organizations (the lattice
-    /// holds `2^k` sub-schedules).
-    pub fn new(trace: &Trace) -> Self {
+    /// read from it); more organizations than the full lattice holds
+    /// sub-schedules for ([`MAX_FULL_ORGS`](super::lattice::MAX_FULL_ORGS))
+    /// is a typed error. The registry's `ref` factory builds through
+    /// this, so a workload spec cannot panic a sweep.
+    pub fn try_new(trace: &Trace) -> Result<Self, TooManyOrgs> {
         let machines: Vec<usize> = trace.orgs().iter().map(|o| o.n_machines).collect();
         let k = machines.len();
-        RefScheduler {
+        Ok(RefScheduler {
             durations: trace.jobs().iter().map(|j| j.proc_time).collect(),
-            lattice: CoalitionLattice::full_proper(&machines),
+            lattice: CoalitionLattice::full_proper(&machines)?,
             grand: Coalition::grand(k),
             scale: factorial(k) as i128,
             trackers: vec![SpTracker::new(); k],
             bumps: StepBumps::new(k),
             picker: OrgPicker::new(k),
             bumps_enabled: true,
-        }
+        })
+    }
+
+    /// [`try_new`](Self::try_new) for a trace the caller built and knows
+    /// to be small enough.
+    ///
+    /// # Panics
+    /// Panics where [`try_new`](Self::try_new) returns an error.
+    pub fn new(trace: &Trace) -> Self {
+        // lint:allow(panic-free) the documented panic of the convenience constructor; anything that takes its trace from outside input (the registry) calls try_new
+        Self::try_new(trace).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Disables the within-time-step utility bumps (see

@@ -86,6 +86,15 @@ pub enum SpecError {
         /// What was wrong with the value.
         reason: String,
     },
+    /// The spec is fine but the scheduler cannot be built for the
+    /// context's trace (the exponential schedulers cap the number of
+    /// organizations).
+    UnsupportedTrace {
+        /// The scheduler name.
+        scheduler: String,
+        /// Why this trace is out of reach.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -114,6 +123,9 @@ impl fmt::Display for SpecError {
             }
             SpecError::BadParam { scheduler, param, reason } => {
                 write!(f, "bad value for {scheduler}:{param}: {reason}")
+            }
+            SpecError::UnsupportedTrace { scheduler, reason } => {
+                write!(f, "scheduler {scheduler:?} cannot run this workload: {reason}")
             }
         }
     }
@@ -195,6 +207,15 @@ impl SchedulerSpec {
         SpecError::BadParam {
             scheduler: self.name().to_string(),
             param: key.to_string(),
+            reason: reason.into(),
+        }
+    }
+
+    /// A helper for factories whose scheduler cannot take the context's
+    /// trace.
+    pub fn unsupported_trace(&self, reason: impl Into<String>) -> SpecError {
+        SpecError::UnsupportedTrace {
+            scheduler: self.name().to_string(),
             reason: reason.into(),
         }
     }
@@ -448,13 +469,23 @@ impl Default for Registry {
             "ref",
             "exact Shapley reference (exponential in the number of organizations)",
             &[],
-            |_, ctx| Ok(Box::new(RefScheduler::new(ctx.trace))),
+            |spec, ctx| match RefScheduler::try_new(ctx.trace) {
+                Ok(scheduler) => Ok(Box::new(scheduler)),
+                Err(e) => Err(spec.unsupported_trace(e.to_string())),
+            },
         );
         r.register_fn(
             "general-ref",
             "REF generalized to a pluggable utility function",
             &["util"],
             |spec, ctx| {
+                if ctx.trace.n_orgs() > GeneralRefScheduler::MAX_ORGS {
+                    return Err(spec.unsupported_trace(format!(
+                        "general REF supports at most {} organizations, got {}",
+                        GeneralRefScheduler::MAX_ORGS,
+                        ctx.trace.n_orgs()
+                    )));
+                }
                 let util = spec.get("util").unwrap_or("sp");
                 Ok(match util {
                     "sp" => Box::new(GeneralRefScheduler::new(ctx.trace, SpUtility)),
@@ -710,6 +741,30 @@ mod tests {
             registry.build_str("general-ref:util=nope", &ctx),
             Err(SpecError::BadParam { .. })
         ));
+    }
+
+    /// The exponential schedulers cap the organization count; a trace
+    /// past the cap is a typed build error, not the constructors' panic.
+    #[test]
+    fn too_many_organizations_is_a_typed_build_error() {
+        let mut b = Trace::builder();
+        for u in 0..17 {
+            let org = b.org(format!("o{u}"), 1);
+            b.job(org, 0, 1);
+        }
+        let trace = b.build().unwrap();
+        let registry = Registry::default();
+        let ctx = BuildContext { trace: &trace, seed: 0 };
+        for spec in ["ref", "general-ref:util=sp"] {
+            match registry.build_str(spec, &ctx) {
+                Err(SpecError::UnsupportedTrace { reason, .. }) => {
+                    assert!(reason.contains("got 17"), "{reason}")
+                }
+                Err(other) => panic!("{spec}: wrong error {other}"),
+                Ok(_) => panic!("{spec} must not build for 17 organizations"),
+            }
+        }
+        assert!(registry.build_str("rand:perms=5", &ctx).is_ok());
     }
 
     #[test]

@@ -64,6 +64,31 @@ impl CellKey {
         )
     }
 
+    /// Whether `self` and `other` belong to one *row*: everything but the
+    /// scheduler agrees, so they share a trace and a REF reference run and
+    /// the [`Runner`](crate::Runner) computes them together.
+    pub fn same_row(&self, other: &CellKey) -> bool {
+        // Destructured so that a field added to the key must be placed
+        // on one side of the row boundary here.
+        let CellKey {
+            workload,
+            scheduler: _,
+            metrics,
+            horizon,
+            validate,
+            instance,
+            workload_seed,
+            scheduler_seed,
+        } = self;
+        *instance == other.instance
+            && *workload == other.workload
+            && *workload_seed == other.workload_seed
+            && *scheduler_seed == other.scheduler_seed
+            && *metrics == other.metrics
+            && *horizon == other.horizon
+            && *validate == other.validate
+    }
+
     /// The cell's content address: FNV-1a 128-bit of the canonical key,
     /// as 32 lowercase hex digits.
     pub fn hash(&self) -> String {

@@ -11,7 +11,8 @@
 //! * the [`Runner`](runner::Runner) executes cells serially, committing
 //!   each one to a content-addressed file (`cells/<fnv128(key)>.json`)
 //!   with an atomic write-then-rename, and journaling state transitions
-//!   to an append-only `journal.jsonl`;
+//!   to an append-only `journal.jsonl`; the cells of one grid row share
+//!   one trace build and one REF reference run;
 //! * re-running with *resume* skips every committed cell (zero recompute
 //!   on a finished run), recomputes corrupt or missing ones, and degrades
 //!   failed cells into typed entries of the final report instead of

@@ -21,6 +21,11 @@
 //!    an interrupted-and-resumed run emits byte-identical
 //!    `report.{json,csv,txt}` to an uninterrupted one by construction.
 //!
+//! Computation is shared per grid *row* — the consecutive cells that
+//! differ only in their scheduler build one trace and run the REF
+//! reference at most once (see [`compute_cell`]) — but nothing about a
+//! row is durable: only cells are committed.
+//!
 //! Transient failures (real io errors and injected [`Fault::Io`]) are
 //! retried per the spec's [`RetryPolicy`] with bounded exponential
 //! backoff; cells whose simulation fails become typed `failed` entries in
@@ -30,9 +35,11 @@ use crate::cell::{cell_keys, decode_cell, encode_cell, CellKey, StoredCell};
 use crate::failpoint::{Fault, FaultPlan};
 use crate::journal::{self, Journal, JournalEntry};
 use crate::spec::{ExperimentSpec, SpecLoadError};
-use fairsched_sim::{Report, SimError, Simulation};
+use fairsched_core::Trace;
+use fairsched_sim::{Report, ReportRow, SimError, Simulation};
 use fairsched_workloads::spec::{WorkloadContext, WorkloadRegistry};
 use serde::Value;
+use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 
 /// The `schema` tag of the final aggregated `report.json`.
@@ -329,67 +336,91 @@ impl Runner {
         let mut summary =
             RunSummary { total: keys.len() as u64, ..RunSummary::default() };
         let mut outcomes: Vec<(CellKey, StoredCell)> = Vec::with_capacity(keys.len());
-        for key in keys {
-            if let Some(stored) = self.read_stored(&key) {
-                summary.skipped += 1;
-                if stored.status == "failed" {
+        // Rows are the unit of computation, cells the unit of durability:
+        // a row's trace and REF reference are made once, by the first
+        // pending cell that needs them (a fully committed row builds
+        // nothing), while every pending cell is still journaled and
+        // committed on its own, in grid order — so the fail-point hit
+        // sequence and every committed byte are those of a cell-by-cell
+        // run, and a resume landing mid-row computes exactly what is
+        // missing.
+        let row_lens: Vec<usize> =
+            keys.chunk_by(CellKey::same_row).map(<[CellKey]>::len).collect();
+        let mut keys = keys.into_iter();
+        for row_len in row_lens {
+            let trace = OnceCell::new();
+            let mut row: Option<Result<ReportRow<'_>, SimError>> = None;
+            for key in keys.by_ref().take(row_len) {
+                if let Some(stored) = self.read_stored(&key) {
+                    summary.skipped += 1;
+                    if stored.status == "failed" {
+                        summary.failed += 1;
+                    }
+                    outcomes.push((key, stored));
+                    continue;
+                }
+                let canonical = key.canonical();
+                self.journal_append(&JournalEntry {
+                    cell: canonical.clone(),
+                    state: "running".into(),
+                    attempt: 1,
+                })?;
+                let row = row.get_or_insert_with(|| {
+                    match trace.get_or_init(|| row_trace(&key)) {
+                        Ok(trace) => Ok(open_row(&key, trace)),
+                        Err(e) => Err(e.clone()),
+                    }
+                });
+                let computed = match row {
+                    Ok(row) => row.report(&key.scheduler),
+                    Err(e) => Err(e.clone()),
+                };
+                let encoded = encode_cell(&key, &computed);
+                let mut text = encoded.to_json_pretty();
+                text.push('\n');
+                // The single decode path: even a freshly computed cell is
+                // consumed through the same decoder resume uses, so the
+                // aggregation below cannot depend on how the cell was obtained.
+                let Some(mut stored) = decode_cell(&encoded) else {
+                    // encode/decode are inverses for every SimError and every
+                    // Report the simulator can produce; reaching this means a
+                    // bug, which must surface as a typed failure, not a panic.
+                    return Err(RunnerError::Io(SimError::Io {
+                        op: "decode".into(),
+                        path: self.cell_path(&key).display().to_string(),
+                        message: "freshly encoded cell failed to decode".into(),
+                    }));
+                };
+                let cell_path = self.cell_path(&key);
+                match self.atomic_write("cell", &cell_path, &text) {
+                    Ok(()) => {}
+                    Err(WriteError::Crash { site }) => {
+                        return Err(RunnerError::Crash { site })
+                    }
+                    Err(WriteError::Io(e)) => {
+                        // Degrade: the sweep continues, this cell's outcome is
+                        // a typed io failure (and, being uncommitted, resume
+                        // will recompute it).
+                        stored = match decode_cell(&encode_cell(&key, &Err(e))) {
+                            Some(s) => s,
+                            None => stored,
+                        };
+                    }
+                }
+                summary.computed += 1;
+                let state = if stored.status == "failed" {
                     summary.failed += 1;
-                }
+                    "failed"
+                } else {
+                    "done"
+                };
+                self.journal_append(&JournalEntry {
+                    cell: canonical,
+                    state: state.into(),
+                    attempt: 1,
+                })?;
                 outcomes.push((key, stored));
-                continue;
             }
-            let canonical = key.canonical();
-            self.journal_append(&JournalEntry {
-                cell: canonical.clone(),
-                state: "running".into(),
-                attempt: 1,
-            })?;
-            let computed = compute_cell(&key);
-            let encoded = encode_cell(&key, &computed);
-            let mut text = encoded.to_json_pretty();
-            text.push('\n');
-            // The single decode path: even a freshly computed cell is
-            // consumed through the same decoder resume uses, so the
-            // aggregation below cannot depend on how the cell was obtained.
-            let Some(mut stored) = decode_cell(&encoded) else {
-                // encode/decode are inverses for every SimError and every
-                // Report the simulator can produce; reaching this means a
-                // bug, which must surface as a typed failure, not a panic.
-                return Err(RunnerError::Io(SimError::Io {
-                    op: "decode".into(),
-                    path: self.cell_path(&key).display().to_string(),
-                    message: "freshly encoded cell failed to decode".into(),
-                }));
-            };
-            let cell_path = self.cell_path(&key);
-            match self.atomic_write("cell", &cell_path, &text) {
-                Ok(()) => {}
-                Err(WriteError::Crash { site }) => {
-                    return Err(RunnerError::Crash { site })
-                }
-                Err(WriteError::Io(e)) => {
-                    // Degrade: the sweep continues, this cell's outcome is
-                    // a typed io failure (and, being uncommitted, resume
-                    // will recompute it).
-                    stored = match decode_cell(&encode_cell(&key, &Err(e))) {
-                        Some(s) => s,
-                        None => stored,
-                    };
-                }
-            }
-            summary.computed += 1;
-            let state = if stored.status == "failed" {
-                summary.failed += 1;
-                "failed"
-            } else {
-                "done"
-            };
-            self.journal_append(&JournalEntry {
-                cell: canonical,
-                state: state.into(),
-                attempt: 1,
-            })?;
-            outcomes.push((key, stored));
         }
         summary.retried = self.retried;
         let report = aggregate(&self.spec, &outcomes);
@@ -424,40 +455,36 @@ impl Runner {
     }
 }
 
-/// Computes one cell, purely: no filesystem side effects, so a crash can
-/// never leave a half-computed cell behind. Coupled seed plans (equal
-/// strides) go through the exact [`Simulation::run_grid_reports`] code
-/// path — session seed drives both workload build and scheduler — so an
-/// experiment with default strides reproduces a grid sweep bit for bit.
-pub fn compute_cell(key: &CellKey) -> Result<Report, SimError> {
-    let mut session =
-        Simulation::session().metric_specs(key.metrics.clone()).validate(key.validate);
-    if let Some(h) = key.horizon {
-        session = session.horizon(h);
-    }
-    if key.workload_seed == key.scheduler_seed {
-        return session
-            .seed(key.workload_seed)
-            .workload_spec(key.workload.clone())
-            .scheduler_spec(key.scheduler.clone())
-            .run_report();
-    }
-    // Decoupled axes: build the trace at the workload seed, run the
-    // session at the scheduler seed, and keep workload provenance.
-    let trace = WorkloadRegistry::shared()
+/// Builds the trace of `key`'s row, at the row's workload seed.
+fn row_trace(key: &CellKey) -> Result<Trace, SimError> {
+    WorkloadRegistry::shared()
         .build(&key.workload, &WorkloadContext { seed: key.workload_seed })
-        .map_err(SimError::Workload)?;
-    let mut session = Simulation::new(&trace)
+        .map_err(SimError::Workload)
+}
+
+/// Opens `key`'s row over its trace: the session runs at the scheduler
+/// seed (for coupled seed plans that is the workload seed too, which is
+/// what [`Simulation::run_grid_reports`] does with its one session seed)
+/// and the reports keep the workload's provenance.
+fn open_row<'t>(key: &CellKey, trace: &'t Trace) -> ReportRow<'t> {
+    let mut session = Simulation::session()
         .metric_specs(key.metrics.clone())
         .validate(key.validate)
-        .seed(key.scheduler_seed)
-        .scheduler_spec(key.scheduler.clone());
+        .seed(key.scheduler_seed);
     if let Some(h) = key.horizon {
         session = session.horizon(h);
     }
-    let mut report = session.run_report()?;
-    report.workload_spec = Some(key.workload.clone());
-    Ok(report)
+    session.report_row(trace, Some(key.workload.clone()))
+}
+
+/// Computes one cell, purely: no filesystem side effects, so a crash can
+/// never leave a half-computed cell behind. This is the row of one cell —
+/// the [`Runner`] opens the same [`ReportRow`] once per grid row and asks
+/// it for each pending cell, so a cell computed here and one computed
+/// inside a shared row are the same bytes.
+pub fn compute_cell(key: &CellKey) -> Result<Report, SimError> {
+    let trace = row_trace(key)?;
+    open_row(key, &trace).report(&key.scheduler)
 }
 
 /// Builds the three final report sinks from decoded cells. Pure and

@@ -56,5 +56,7 @@ pub use report::{
     MetricColumn, MetricContext, MetricError, MetricFactory, MetricOutput,
     MetricRegistry, MetricSpec, MetricValue, Report, TimeSeriesColumn,
 };
-pub use session::{GridCell, ReportCell, SimError, Simulation, DEFAULT_REPORT_METRICS};
+pub use session::{
+    GridCell, ReportCell, ReportRow, SimError, Simulation, DEFAULT_REPORT_METRICS,
+};
 pub use stepper::{Admission, SimSession, SNAPSHOT_SCHEMA};

@@ -67,6 +67,7 @@ use fairsched_workloads::spec::{
 };
 use std::borrow::Cow;
 use std::fmt;
+use std::rc::Rc;
 
 /// Why a simulation session could not produce a result.
 #[derive(Clone, Debug)]
@@ -459,13 +460,6 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Runs the REF reference scheduler over `trace` with this session's
-    /// settings (for reference-based metrics).
-    fn run_reference(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        let mut scheduler = self.build_spec(&SchedulerSpec::bare("ref"), trace)?;
-        run_scheduler(trace, scheduler.as_mut(), self.options_for(trace))
-    }
-
     /// The session's workload provenance, if it was chosen by spec.
     fn workload_provenance(&self) -> Option<WorkloadSpec> {
         match &self.source {
@@ -488,25 +482,17 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    fn build_spec(
-        &self,
-        spec: &SchedulerSpec,
-        trace: &Trace,
-    ) -> Result<Box<dyn Scheduler>, SimError> {
-        let ctx = BuildContext { trace, seed: self.seed };
-        self.resolve_registry().build(spec, &ctx).map_err(SimError::from)
-    }
-
     /// Runs the session, consuming it.
     pub fn run(self) -> Result<SimResult, SimError> {
         let trace = self.resolve_trace()?;
         let options = self.options_for(&trace);
-        let mut scheduler = match self.chosen {
-            Chosen::None => return Err(SimError::NoScheduler),
-            Chosen::Instance(s) => s,
-            Chosen::Spec(ref spec) => self.build_spec(spec, &trace)?,
-        };
-        run_scheduler(&trace, scheduler.as_mut(), options)
+        match self.chosen {
+            Chosen::None => Err(SimError::NoScheduler),
+            Chosen::Instance(mut s) => run_scheduler(&trace, s.as_mut(), options),
+            Chosen::Spec(ref spec) => {
+                run_spec(self.resolve_registry(), spec, &trace, self.seed, options)
+            }
+        }
     }
 
     /// Runs one simulation per spec with this session's settings (same
@@ -542,9 +528,7 @@ impl<'a> Simulation<'a> {
         let registry = self.resolve_registry();
         let seed = self.seed;
         crate::parallel::parallel_map(specs.to_vec(), move |spec| {
-            let ctx = BuildContext { trace, seed };
-            let mut scheduler = registry.build(&spec, &ctx).map_err(SimError::from)?;
-            run_scheduler(trace, scheduler.as_mut(), options)
+            run_spec(registry, &spec, trace, seed, options)
         })
     }
 
@@ -601,38 +585,46 @@ impl<'a> Simulation<'a> {
     /// against REF (`delay`, `ranking`), the exact reference schedule is
     /// run automatically with the same settings.
     pub fn run_report(mut self) -> Result<Report, SimError> {
-        let specs = self.effective_metrics();
-        let metric_registry = self.resolve_metrics();
         let chosen = std::mem::replace(&mut self.chosen, Chosen::None);
-        let scheduler_spec = match &chosen {
-            Chosen::Spec(spec) => Some(spec.clone()),
-            _ => None,
-        };
-        let workload_spec = self.workload_provenance();
         let trace = self.resolve_trace()?;
-        let options = self.options_for(&trace);
-        let mut scheduler = match chosen {
-            Chosen::None => return Err(SimError::NoScheduler),
-            Chosen::Instance(s) => s,
-            Chosen::Spec(ref spec) => self.build_spec(spec, &trace)?,
-        };
-        let result = run_scheduler(&trace, scheduler.as_mut(), options)?;
-        let reference = if metric_registry.any_needs_reference(&specs) {
-            Some(self.run_reference(&trace)?)
-        } else {
-            None
-        };
-        let mut report = Report::evaluate(
+        let mut row = self.report_row(&trace, self.workload_provenance());
+        match chosen {
+            Chosen::None => Err(SimError::NoScheduler),
+            Chosen::Spec(spec) => row.report(&spec),
+            Chosen::Instance(mut scheduler) => {
+                let result = run_scheduler(&trace, scheduler.as_mut(), row.options);
+                row.finish(None, result.map(Rc::new))
+            }
+        }
+    }
+
+    /// Opens the [`ReportRow`] of this session's settings (registries,
+    /// metrics, horizon, validation, seed) over `trace`: the unit every
+    /// report-producing run — this session's own, and the durable
+    /// experiment runner's — computes through. `workload` is the
+    /// provenance stamped on the row's reports. Any scheduler chosen on
+    /// the session is ignored; the row is asked per spec.
+    pub fn report_row<'r>(
+        &self,
+        trace: &'r Trace,
+        workload: Option<WorkloadSpec>,
+    ) -> ReportRow<'r>
+    where
+        'a: 'r,
+    {
+        let metric_registry = self.resolve_metrics();
+        let metric_specs = self.effective_metrics();
+        ReportRow {
+            trace,
+            registry: self.resolve_registry(),
             metric_registry,
-            &specs,
-            &trace,
-            &result,
-            reference.as_ref(),
-        )?;
-        report.seed = self.seed;
-        report.scheduler_spec = scheduler_spec;
-        report.workload_spec = workload_spec;
-        Ok(report)
+            needs_reference: metric_registry.any_needs_reference(&metric_specs),
+            metric_specs,
+            options: self.options_for(trace),
+            seed: self.seed,
+            workload,
+            reference: None,
+        }
     }
 
     /// [`run_matrix`](Simulation::run_matrix), reported: one [`Report`]
@@ -643,44 +635,36 @@ impl<'a> Simulation<'a> {
         specs: &[SchedulerSpec],
     ) -> Result<Vec<Report>, SimError> {
         let trace = self.resolve_trace()?;
-        self.run_matrix_reports_on(&trace, specs).into_iter().collect()
+        self.run_matrix_reports_on(&trace, self.workload_provenance(), specs)
+            .into_iter()
+            .collect()
     }
 
     /// The shared core of [`run_matrix_reports`](Simulation::run_matrix_reports)
     /// and [`run_grid_reports`](Simulation::run_grid_reports): per-spec
-    /// typed results over an already-resolved trace.
+    /// typed results over an already-resolved trace. The scheduler runs
+    /// fan out in parallel; each is then finished through the one
+    /// [`ReportRow`], so a bare `ref` among `specs` doubles as the row's
+    /// reference instead of REF running once more.
     fn run_matrix_reports_on(
         &self,
         trace: &Trace,
+        workload: Option<WorkloadSpec>,
         specs: &[SchedulerSpec],
     ) -> Vec<Result<Report, SimError>> {
-        let metric_specs = self.effective_metrics();
-        let metric_registry = self.resolve_metrics();
-        let reference = if metric_registry.any_needs_reference(&metric_specs) {
-            match self.run_reference(trace) {
-                Ok(r) => Some(r),
-                Err(e) => return specs.iter().map(|_| Err(e.clone())).collect(),
-            }
-        } else {
-            None
-        };
-        let workload_spec = self.workload_provenance();
-        self.run_matrix_on(trace, specs)
+        let results: Vec<_> = self
+            .run_matrix_on(trace, specs)
+            .into_iter()
+            .map(|result| result.map(Rc::new))
+            .collect();
+        let mut row = self.report_row(trace, workload);
+        if let Some(own) = specs.iter().position(is_reference_spec) {
+            row.reference = Some(results[own].clone());
+        }
+        results
             .into_iter()
             .zip(specs)
-            .map(|(result, spec)| {
-                let mut report = Report::evaluate(
-                    metric_registry,
-                    &metric_specs,
-                    trace,
-                    &result?,
-                    reference.as_ref(),
-                )?;
-                report.seed = self.seed;
-                report.scheduler_spec = Some(spec.clone());
-                report.workload_spec = workload_spec.clone();
-                Ok(report)
-            })
+            .map(|(result, spec)| row.finish(Some(spec), result))
             .collect()
     }
 
@@ -709,12 +693,12 @@ impl<'a> Simulation<'a> {
                     }
                 }
                 Ok(trace) => {
-                    let row = self.run_matrix_reports_on(&trace, schedulers);
+                    let row = self.run_matrix_reports_on(
+                        &trace,
+                        Some(wspec.clone()),
+                        schedulers,
+                    );
                     for (sspec, report) in schedulers.iter().zip(row) {
-                        let report = report.map(|mut r| {
-                            r.workload_spec = Some(wspec.clone());
-                            r
-                        });
                         cells.push(ReportCell {
                             workload: wspec.clone(),
                             scheduler: sspec.clone(),
@@ -725,6 +709,100 @@ impl<'a> Simulation<'a> {
             }
         }
         cells
+    }
+}
+
+/// Builds `spec` through `registry` for `trace` and runs it.
+fn run_spec(
+    registry: &Registry,
+    spec: &SchedulerSpec,
+    trace: &Trace,
+    seed: u64,
+    options: SimOptions,
+) -> Result<SimResult, SimError> {
+    let mut scheduler = registry.build(spec, &BuildContext { trace, seed })?;
+    run_scheduler(trace, scheduler.as_mut(), options)
+}
+
+/// Whether `spec` is the scheduler the reference run builds: a cell
+/// running it *is* the reference run of its row.
+fn is_reference_spec(spec: &SchedulerSpec) -> bool {
+    spec.name() == "ref" && spec.params().next().is_none()
+}
+
+/// One row of a report grid — the cells that share a trace, a seed and
+/// the session settings and differ only in their scheduler — and the one
+/// place the "run scheduler → obtain the REF reference →
+/// [`Report::evaluate`] → stamp provenance" sequence lives (open one with
+/// [`Simulation::report_row`]).
+///
+/// What the row shares is the reference run: REF runs at most once, on
+/// the first cell whose metrics compare against it, and a bare `ref` cell
+/// *is* that run (in either order) rather than a second one. A failed
+/// reference is the same typed error on every cell that needs it — after
+/// the cell's own scheduler error, which comes first — while cells with
+/// reference-free metrics still succeed.
+#[derive(Debug)]
+pub struct ReportRow<'r> {
+    trace: &'r Trace,
+    registry: &'r Registry,
+    metric_registry: &'r MetricRegistry,
+    metric_specs: Vec<MetricSpec>,
+    needs_reference: bool,
+    options: SimOptions,
+    seed: u64,
+    workload: Option<WorkloadSpec>,
+    /// The row's REF run, once some cell asked for it.
+    reference: Option<Result<Rc<SimResult>, SimError>>,
+}
+
+impl ReportRow<'_> {
+    /// Runs `spec` over the row's trace and measures it.
+    pub fn report(&mut self, spec: &SchedulerSpec) -> Result<Report, SimError> {
+        let result = if is_reference_spec(spec) {
+            self.reference()
+        } else {
+            self.run(spec).map(Rc::new)
+        };
+        self.finish(Some(spec), result)
+    }
+
+    fn run(&self, spec: &SchedulerSpec) -> Result<SimResult, SimError> {
+        run_spec(self.registry, spec, self.trace, self.seed, self.options)
+    }
+
+    /// The row's reference run, made on first use.
+    fn reference(&mut self) -> Result<Rc<SimResult>, SimError> {
+        match &self.reference {
+            Some(run) => run.clone(),
+            None => {
+                let run = self.run(&SchedulerSpec::bare("ref")).map(Rc::new);
+                self.reference = Some(run.clone());
+                run
+            }
+        }
+    }
+
+    /// Measures one finished run of the row. The cell's own error comes
+    /// first, then the reference's.
+    fn finish(
+        &mut self,
+        spec: Option<&SchedulerSpec>,
+        result: Result<Rc<SimResult>, SimError>,
+    ) -> Result<Report, SimError> {
+        let result = result?;
+        let reference = if self.needs_reference { Some(self.reference()?) } else { None };
+        let mut report = Report::evaluate(
+            self.metric_registry,
+            &self.metric_specs,
+            self.trace,
+            &result,
+            reference.as_deref(),
+        )?;
+        report.seed = self.seed;
+        report.scheduler_spec = spec.cloned();
+        report.workload_spec = self.workload.clone();
+        Ok(report)
     }
 }
 
@@ -785,6 +863,8 @@ impl fmt::Debug for Simulation<'_> {
 mod tests {
     use super::*;
     use fairsched_core::scheduler::FifoScheduler;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn small_trace() -> Trace {
         let mut b = Trace::builder();
@@ -1319,6 +1399,140 @@ mod tests {
             assert_eq!(s.aggregate.len(), s.times.len());
             assert!(s.times.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    /// A registry whose `ref` factory counts its builds (and, when
+    /// `fails`, returns the typed build error REF gives a trace with too
+    /// many organizations).
+    fn counting_registry(fails: bool) -> (Registry, Arc<AtomicUsize>) {
+        use fairsched_core::scheduler::registry::SchedulerFactory;
+        use fairsched_core::scheduler::RefScheduler;
+        struct CountingRef {
+            builds: Arc<AtomicUsize>,
+            fails: bool,
+        }
+        impl SchedulerFactory for CountingRef {
+            fn name(&self) -> &str {
+                "ref"
+            }
+            fn summary(&self) -> &str {
+                "test-only build-counting REF"
+            }
+            fn build(
+                &self,
+                spec: &SchedulerSpec,
+                ctx: &BuildContext<'_>,
+            ) -> Result<Box<dyn Scheduler>, SpecError> {
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                if self.fails {
+                    return Err(spec.unsupported_trace("test-only failure"));
+                }
+                Ok(Box::new(RefScheduler::new(ctx.trace)))
+            }
+        }
+        let builds = Arc::new(AtomicUsize::new(0));
+        let mut registry = Registry::default();
+        registry.register(Box::new(CountingRef { builds: builds.clone(), fails }));
+        (registry, builds)
+    }
+
+    fn parse_all(specs: &[&str]) -> Vec<SchedulerSpec> {
+        specs.iter().map(|s| s.parse().unwrap()).collect()
+    }
+
+    /// What a row shares: REF is built once when a metric compares
+    /// against it — by the row's own bare `ref` cell if it has one,
+    /// wherever that cell stands — and never for reference-free metrics.
+    /// Both row-level paths (the serial `ReportRow` the experiment runner
+    /// drives, the parallel `run_matrix_reports`) agree with stand-alone
+    /// `run_report` calls cell for cell.
+    #[test]
+    fn a_row_builds_the_reference_at_most_once() {
+        let trace = small_trace();
+        let with_ref = parse_all(&[
+            "fifo",
+            "roundrobin",
+            "ref",
+            "fairshare",
+            "rand:perms=5",
+            "directcontr",
+        ]);
+        let without_ref = parse_all(&["fifo", "roundrobin", "rand:perms=5"]);
+        for (specs, metrics, expected_builds) in [
+            (&with_ref, ["delay", "psi"], 1),
+            (&without_ref, ["delay", "psi"], 1),
+            (&without_ref, ["flow", "psi"], 0),
+            (&with_ref, ["flow", "psi"], 1),
+        ] {
+            let (registry, builds) = counting_registry(false);
+            let session = Simulation::new(&trace)
+                .registry(&registry)
+                .horizon(50)
+                .seed(7)
+                .metrics(&metrics)
+                .unwrap();
+            let mut row = session.report_row(&trace, None);
+            let serial: Vec<Report> =
+                specs.iter().map(|spec| row.report(spec).unwrap()).collect();
+            assert_eq!(
+                builds.swap(0, Ordering::Relaxed),
+                expected_builds,
+                "row {specs:?}"
+            );
+            let matrix = session.run_matrix_reports(specs).unwrap();
+            assert_eq!(
+                builds.swap(0, Ordering::Relaxed),
+                expected_builds,
+                "matrix {specs:?}"
+            );
+            for ((spec, serial), matrix) in specs.iter().zip(&serial).zip(&matrix) {
+                let solo = Simulation::new(&trace)
+                    .horizon(50)
+                    .seed(7)
+                    .metrics(&metrics)
+                    .unwrap()
+                    .scheduler_spec(spec.clone())
+                    .run_report()
+                    .unwrap();
+                assert_eq!(serial.to_json(), solo.to_json(), "row cell {spec}");
+                assert_eq!(matrix.to_json(), solo.to_json(), "matrix cell {spec}");
+            }
+        }
+    }
+
+    /// A reference that cannot be built is one attempt and the same typed
+    /// error on every cell that needs it; a cell's own error still comes
+    /// first, and reference-free metrics never notice.
+    #[test]
+    fn a_failed_reference_fails_the_cells_that_need_it_with_one_error() {
+        let trace = small_trace();
+        let specs = parse_all(&["fifo", "warp-drive", "ref", "roundrobin"]);
+        let (registry, builds) = counting_registry(true);
+        let session = Simulation::new(&trace).registry(&registry).horizon(50);
+        let mut row = session.metrics(&["delay"]).unwrap().report_row(&trace, None);
+        let errors: Vec<SimError> =
+            specs.iter().map(|spec| row.report(spec).unwrap_err()).collect();
+        assert_eq!(builds.swap(0, Ordering::Relaxed), 1);
+        for (spec, error) in specs.iter().zip(&errors) {
+            match error {
+                SimError::Spec(SpecError::UnknownScheduler { .. }) => {
+                    assert_eq!(spec.name(), "warp-drive")
+                }
+                SimError::Spec(SpecError::UnsupportedTrace { scheduler, .. }) => {
+                    assert_eq!(scheduler, "ref");
+                    assert_ne!(spec.name(), "warp-drive");
+                }
+                other => panic!("{spec}: unexpected error {other}"),
+            }
+        }
+        let session = Simulation::new(&trace).registry(&registry).horizon(50);
+        let reports = session
+            .metrics(&["psi"])
+            .unwrap()
+            .run_matrix_reports(&parse_all(&["fifo", "roundrobin"]))
+            .unwrap();
+        assert_eq!(reports.len(), 2);
+        assert_eq!(builds.load(Ordering::Relaxed), 0);
     }
 
     #[test]
