@@ -2,11 +2,9 @@
 //! workspace must be valid against the *live* registries.
 //!
 //! The analyzer links the fairsched crates, so the source of truth is the
-//! same [`Registry`](fairsched_core::scheduler::Registry) /
-//! [`WorkloadRegistry`](fairsched_workloads::spec::WorkloadRegistry) /
-//! [`MetricRegistry`](fairsched_sim::report::MetricRegistry) singletons
-//! the CLI resolves at runtime — a renamed family or parameter breaks the
-//! lint before it breaks a user.
+//! same three [`Registry::shared`] singletons (schedulers, workloads,
+//! metrics) the CLI resolves at runtime — a renamed family or parameter
+//! breaks the lint before it breaks a user.
 //!
 //! Checked sources: string literals in every workspace `.rs` file
 //! (library *and* test code — deliberately malformed fixtures carry
@@ -25,7 +23,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fairsched_core::spec::SpecBody;
+use fairsched_core::scheduler::SchedulerKind;
+use fairsched_core::spec::{Factory, Registry, SpecBody, SpecKind};
+use fairsched_sim::MetricKind;
+use fairsched_workloads::WorkloadKind;
 
 use crate::lexer::Tok;
 use crate::rules::SPEC_LITERAL;
@@ -53,31 +54,22 @@ impl RegistrySnapshot {
     /// Reads the shared singletons the rest of the workspace uses.
     pub fn live() -> Self {
         let mut snap = RegistrySnapshot::default();
-        let sched = fairsched_core::scheduler::Registry::shared();
-        for name in sched.names() {
-            let params = sched
-                .get(name)
-                .map(|f| f.accepted_params().iter().map(|p| p.to_string()).collect())
-                .unwrap_or_default();
-            snap.add("scheduler", name, params);
-        }
-        let wl = fairsched_workloads::spec::WorkloadRegistry::shared();
-        for name in wl.names() {
-            let params = wl
-                .get(name)
-                .map(|f| f.accepted_params().iter().map(|p| p.to_string()).collect())
-                .unwrap_or_default();
-            snap.add("workload", name, params);
-        }
-        let metrics = fairsched_sim::report::MetricRegistry::shared();
-        for name in metrics.names() {
-            let params = metrics
-                .get(name)
-                .map(|f| f.accepted_params().iter().map(|p| p.to_string()).collect())
-                .unwrap_or_default();
-            snap.add("metric", name, params);
-        }
+        snap.add_registry::<SchedulerKind>("scheduler");
+        snap.add_registry::<WorkloadKind>("workload");
+        snap.add_registry::<MetricKind>("metric");
         snap
+    }
+
+    /// Adds every family of axis `K`'s shared registry under `label`.
+    fn add_registry<K: SpecKind>(&mut self, label: &'static str) {
+        let registry = Registry::<K>::shared();
+        for name in registry.names() {
+            let params = registry
+                .get(name)
+                .map(|f| f.accepted_params().iter().map(|p| p.to_string()).collect())
+                .unwrap_or_default();
+            self.add(label, name, params);
+        }
     }
 
     /// Registers one family (test seam; `live()` uses it too).

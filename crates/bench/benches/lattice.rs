@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairsched_bench::baseline::bench_workload;
 use fairsched_core::scheduler::{RandScheduler, RefScheduler};
-use fairsched_sim::simulate;
+use fairsched_sim::{run_scheduler, SimOptions};
 use std::hint::black_box;
 
 /// The registry's `fpt:k=<k>` family — the same traces `bench_baseline`
@@ -25,13 +25,21 @@ fn bench_ref_vs_k(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ref", k), &trace, |b, trace| {
             b.iter(|| {
                 let mut s = RefScheduler::new(trace);
-                black_box(simulate(trace, &mut s, 2_000))
+                black_box(run_scheduler(
+                    trace,
+                    &mut s,
+                    SimOptions { horizon: 2_000, validate: false },
+                ))
             });
         });
         group.bench_with_input(BenchmarkId::new("rand15", k), &trace, |b, trace| {
             b.iter(|| {
                 let mut s = RandScheduler::new(trace, 15, 9);
-                black_box(simulate(trace, &mut s, 2_000))
+                black_box(run_scheduler(
+                    trace,
+                    &mut s,
+                    SimOptions { horizon: 2_000, validate: false },
+                ))
             });
         });
     }

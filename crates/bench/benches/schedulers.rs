@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairsched_bench::runner::Algo;
 use fairsched_core::scheduler::RefScheduler;
-use fairsched_sim::simulate;
+use fairsched_sim::{run_scheduler, SimOptions};
 use fairsched_workloads::{generate, preset, to_trace, MachineSplit, PresetName};
 use std::hint::black_box;
 
@@ -33,14 +33,22 @@ fn bench_schedulers(c: &mut Criterion) {
         group.bench_function(algo.label(), |b| {
             b.iter(|| {
                 let mut s = algo.build(&trace, 3);
-                black_box(simulate(&trace, s.as_mut(), horizon))
+                black_box(run_scheduler(
+                    &trace,
+                    s.as_mut(),
+                    SimOptions { horizon, validate: false },
+                ))
             });
         });
     }
     group.bench_function("Ref (exact)", |b| {
         b.iter(|| {
             let mut s = RefScheduler::new(&trace);
-            black_box(simulate(&trace, &mut s, horizon))
+            black_box(run_scheduler(
+                &trace,
+                &mut s,
+                SimOptions { horizon, validate: false },
+            ))
         });
     });
     group.finish();

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fairsched_core::scheduler::FifoScheduler;
 use fairsched_core::utility::{sp_value, sp_vector, SpTracker};
-use fairsched_sim::simulate;
+use fairsched_sim::{run_scheduler, SimOptions};
 use fairsched_workloads::{generate, to_trace, MachineSplit, SynthConfig};
 use std::hint::black_box;
 
@@ -52,8 +52,12 @@ fn bench_sp_vector(c: &mut Criterion) {
     };
     let jobs = generate(&config, 3);
     let trace = to_trace(&jobs, 5, 32, MachineSplit::Equal, 3).unwrap();
-    let result =
-        simulate(&trace, &mut FifoScheduler::new(), 50_000).expect("engine contract");
+    let result = run_scheduler(
+        &trace,
+        &mut FifoScheduler::new(),
+        SimOptions { horizon: 50_000, validate: false },
+    )
+    .expect("engine contract");
     c.bench_function("sp_vector_full_schedule", |b| {
         b.iter(|| black_box(sp_vector(&trace, &result.schedule, 50_000)));
     });

@@ -45,7 +45,7 @@ use fairsched_core::scheduler::{
 use fairsched_core::Trace;
 use fairsched_experiment::{ExperimentSpec, Runner, RunnerOptions, SeedPlan};
 use fairsched_serve::{Daemon, Message, ServeConfig, SubmissionQueue};
-use fairsched_sim::{simulate, MetricSpec, SimResult, SimSession};
+use fairsched_sim::{run_scheduler, MetricSpec, SimOptions, SimResult, SimSession};
 use fairsched_workloads::spec::{fpt_spec, WorkloadContext, WorkloadRegistry};
 use fairsched_workloads::{
     generate, synth_spec, to_trace, MachineSplit, PresetName, SynthConfig,
@@ -518,7 +518,7 @@ const STEP_CHUNKS: u64 = 100;
 /// Measures the resumable stepper against the batch engine on the
 /// lattice-bench workload (`fpt:k=8`, seed 5, horizon 2000): the same
 /// schedule built via [`SimSession::step`] in [`STEP_CHUNKS`] increments,
-/// timed against one `simulate` call. The pair of `serve/step_overhead`
+/// timed against one `run_scheduler` call. The pair of `serve/step_overhead`
 /// rows pins the abstraction cost `fairsched serve` pays for driving the
 /// event loop incrementally — both rows replay identical events, so any
 /// gap is pure stepper overhead.
@@ -571,7 +571,7 @@ fn run_serve_overhead(samples: usize) -> Vec<CaseResult> {
     vec![batch, stepper]
 }
 
-/// Times `build() → simulate(horizon)` over `samples` runs (plus one
+/// Times `build() → run_scheduler(horizon)` over `samples` runs (plus one
 /// untimed warmup) and gathers the counters from a final untimed run.
 fn measure<S: Scheduler, B: Fn(&Trace) -> S, L: Fn(&S) -> Option<LatticeCounters>>(
     name: &str,
@@ -585,7 +585,8 @@ fn measure<S: Scheduler, B: Fn(&Trace) -> S, L: Fn(&S) -> Option<LatticeCounters
     // Built-in schedulers on registry workloads cannot violate the engine
     // contract; a panic here means a bug worth stopping the bench for
     // (allowlisted for the panic-free-library rule).
-    let run = |s: &mut S| simulate(trace, s, horizon).expect("engine contract");
+    let options = SimOptions { horizon, validate: false };
+    let run = |s: &mut S| run_scheduler(trace, s, options).expect("engine contract");
     // Warmup — runs are deterministic, so this run also yields the
     // display name, the event counts, and the lattice counters.
     let mut warm = build(trace);
@@ -808,10 +809,12 @@ fn measure_timeline(trace: &Trace, runs: usize) -> Vec<TimelineCase> {
     use fairsched_core::scheduler::FairShareScheduler;
 
     let horizon = 2_000;
-    let eval = simulate(trace, &mut FairShareScheduler::new(), horizon)
-        .expect("engine contract");
-    let reference =
-        simulate(trace, &mut RefScheduler::new(trace), horizon).expect("engine contract");
+    let options = SimOptions { horizon, validate: false };
+    let run = |s: &mut dyn Scheduler| {
+        run_scheduler(trace, s, options).expect("engine contract")
+    };
+    let eval = run(&mut FairShareScheduler::new());
+    let reference = run(&mut RefScheduler::new(trace));
 
     let time_min = |f: &dyn Fn() -> usize| -> (u64, usize) {
         let mut min = u128::MAX;

@@ -493,8 +493,11 @@ mod tests {
     #[test]
     fn bad_scheduler_is_reported_per_instance_not_panicked() {
         use fairsched_core::model::{ClusterInfo, OrgId};
-        use fairsched_core::scheduler::registry::{SchedulerFactory, SpecError};
+        use fairsched_core::scheduler::registry::{
+            SchedulerFactory, SchedulerKind, SpecError,
+        };
         use fairsched_core::scheduler::SelectContext;
+        use fairsched_core::spec::Factory;
 
         struct Broken;
         impl fairsched_core::scheduler::Scheduler for Broken {
@@ -508,13 +511,18 @@ mod tests {
             }
         }
         struct BrokenFactory;
-        impl SchedulerFactory for BrokenFactory {
+        impl Factory<SchedulerKind> for BrokenFactory {
             fn name(&self) -> &str {
                 "broken"
             }
             fn summary(&self) -> &str {
                 "test-only contract violator"
             }
+            fn conformance_specs(&self) -> Vec<SchedulerSpec> {
+                vec![SchedulerSpec::bare("broken")]
+            }
+        }
+        impl SchedulerFactory for BrokenFactory {
             fn build(
                 &self,
                 _spec: &SchedulerSpec,
@@ -663,17 +671,25 @@ mod tests {
 
     #[test]
     fn downstream_policies_reach_experiments_via_custom_registry() {
-        use fairsched_core::scheduler::registry::{SchedulerFactory, SpecError};
+        use fairsched_core::scheduler::registry::{
+            SchedulerFactory, SchedulerKind, SpecError,
+        };
         use fairsched_core::scheduler::RoundRobinScheduler;
+        use fairsched_core::spec::Factory;
 
         struct Custom;
-        impl SchedulerFactory for Custom {
+        impl Factory<SchedulerKind> for Custom {
             fn name(&self) -> &str {
                 "house-policy"
             }
             fn summary(&self) -> &str {
                 "test-only downstream policy"
             }
+            fn conformance_specs(&self) -> Vec<SchedulerSpec> {
+                vec![SchedulerSpec::bare("house-policy")]
+            }
+        }
+        impl SchedulerFactory for Custom {
             fn build(
                 &self,
                 _spec: &SchedulerSpec,

@@ -45,7 +45,9 @@ pub use fifo::{FifoScheduler, RandomScheduler};
 pub use general_ref::GeneralRefScheduler;
 pub use rand_shapley::RandScheduler;
 pub use ref_exact::RefScheduler;
-pub use registry::{BuildContext, Registry, SchedulerFactory, SchedulerSpec, SpecError};
+pub use registry::{
+    BuildContext, Registry, SchedulerFactory, SchedulerKind, SchedulerSpec, SpecError,
+};
 pub use round_robin::RoundRobinScheduler;
 
 use crate::model::{ClusterInfo, JobMeta, MachineId, OrgId, Time};

@@ -52,38 +52,6 @@ impl SimResult {
     }
 }
 
-/// Runs `scheduler` over `trace` until `horizon` (no validation).
-///
-/// Legacy entry point kept for compatibility; prefer
-/// [`Simulation`](crate::Simulation), the session API. Engine-contract
-/// violations (invalid trace, ungreedy selection, out-of-range machine
-/// pick) are reported as typed [`SimError`]s — until this repo's first
-/// panic-free-library ratchet these wrappers re-panicked on them.
-pub fn simulate(
-    trace: &Trace,
-    scheduler: &mut dyn Scheduler,
-    horizon: Time,
-) -> Result<SimResult, SimError> {
-    simulate_with_options(trace, scheduler, SimOptions { horizon, validate: false })
-}
-
-/// Runs `scheduler` over `trace` with explicit options.
-///
-/// Legacy entry point kept for compatibility; prefer
-/// [`Simulation`](crate::Simulation). Equivalent to [`run_scheduler`].
-///
-/// # Errors
-/// Exactly those of [`run_scheduler`]: [`SimError::InvalidTrace`],
-/// [`SimError::BadSelection`], [`SimError::BadMachinePick`], and (with
-/// `validate`) [`SimError::InvalidSchedule`].
-pub fn simulate_with_options(
-    trace: &Trace,
-    scheduler: &mut dyn Scheduler,
-    options: SimOptions,
-) -> Result<SimResult, SimError> {
-    run_scheduler(trace, scheduler, options)
-}
-
 /// Runs `scheduler` over `trace`, reporting failures as [`SimError`]s.
 ///
 /// The engine is the trusted component enforcing the paper's model:
@@ -360,7 +328,7 @@ mod tests {
         let a = b.org("a", 1);
         b.job(a, 0, 2).job(a, 0, 3).job(a, 10, 1);
         let trace = b.build().unwrap();
-        let r = simulate_with_options(
+        let r = run_scheduler(
             &trace,
             &mut FifoScheduler::new(),
             SimOptions { horizon: 100, validate: true },
@@ -382,7 +350,12 @@ mod tests {
         let a = b.org("a", 1);
         b.job(a, 0, 10).job(a, 0, 10);
         let trace = b.build().unwrap();
-        let r = simulate(&trace, &mut FifoScheduler::new(), 5).expect("valid run");
+        let r = run_scheduler(
+            &trace,
+            &mut FifoScheduler::new(),
+            SimOptions { horizon: 5, validate: false },
+        )
+        .expect("valid run");
         // Only the first job started (second would start at 10 > horizon).
         assert_eq!(r.started_jobs, 1);
         assert_eq!(r.completed_jobs, 0);
@@ -407,7 +380,7 @@ mod tests {
             Box::new(GeneralRefScheduler::new(&trace, FlowTime)),
         ];
         for s in schedulers.iter_mut() {
-            let r = simulate_with_options(
+            let r = run_scheduler(
                 &trace,
                 s.as_mut(),
                 SimOptions { horizon: 50, validate: true },
@@ -425,7 +398,7 @@ mod tests {
         let a = b.org("a", 2);
         b.jobs(a, 0, 5, 6);
         let trace = b.build().unwrap();
-        let r = simulate_with_options(
+        let r = run_scheduler(
             &trace,
             &mut RoundRobinScheduler::new(),
             SimOptions { horizon: 15, validate: true },
@@ -441,7 +414,9 @@ mod tests {
         // closed-form evaluation.
         let trace = small_trace();
         let mut r = RefScheduler::new(&trace);
-        let result = simulate(&trace, &mut r, 30).expect("valid run");
+        let result =
+            run_scheduler(&trace, &mut r, SimOptions { horizon: 30, validate: false })
+                .expect("valid run");
         assert_eq!(r.psi(30), result.psi);
     }
 
@@ -450,7 +425,12 @@ mod tests {
         let mut b = Trace::builder();
         b.org("a", 1);
         let trace = b.build().unwrap();
-        let r = simulate(&trace, &mut FifoScheduler::new(), 10).expect("valid run");
+        let r = run_scheduler(
+            &trace,
+            &mut FifoScheduler::new(),
+            SimOptions { horizon: 10, validate: false },
+        )
+        .expect("valid run");
         assert_eq!(r.started_jobs, 0);
         assert_eq!(r.utilization, 0.0);
     }
@@ -460,7 +440,12 @@ mod tests {
         let trace = small_trace();
         let run = |seed: u64| {
             let mut s = DirectContrScheduler::new(seed);
-            let r = simulate(&trace, &mut s, 40).expect("valid run");
+            let r = run_scheduler(
+                &trace,
+                &mut s,
+                SimOptions { horizon: 40, validate: false },
+            )
+            .expect("valid run");
             r.schedule.entries().to_vec()
         };
         assert_eq!(run(5), run(5));
@@ -570,19 +555,6 @@ mod tests {
                 assert!(org.index() >= trace.n_orgs());
             }
             other => panic!("expected BadSelection, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn legacy_simulate_reports_bad_machine_pick_as_typed_error() {
-        // These wrappers used to re-panic on engine-contract violations;
-        // they now surface the same typed SimError as run_scheduler.
-        let trace = small_trace();
-        match simulate(&trace, &mut OutOfRangePicker, 50) {
-            Err(SimError::BadMachinePick { scheduler, .. }) => {
-                assert_eq!(scheduler, "OutOfRangePicker")
-            }
-            other => panic!("expected BadMachinePick, got {other:?}"),
         }
     }
 

@@ -73,7 +73,12 @@ mod tests {
         let c = b.org("b", 1);
         b.job(a, 0, 4).job(c, 0, 8).job(a, 4, 4);
         let trace = b.build().unwrap();
-        let r = crate::simulate(&trace, &mut FifoScheduler::new(), 8).expect("valid run");
+        let r = crate::run_scheduler(
+            &trace,
+            &mut FifoScheduler::new(),
+            crate::SimOptions { horizon: 8, validate: false },
+        )
+        .expect("valid run");
         let g = render_gantt(&trace, &r.schedule, 8, 8);
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 4); // header + 3 machines
@@ -89,8 +94,12 @@ mod tests {
         let a = b.org("a", 2);
         b.job(a, 0, 2);
         let trace = b.build().unwrap();
-        let r =
-            crate::simulate(&trace, &mut FifoScheduler::new(), 10).expect("valid run");
+        let r = crate::run_scheduler(
+            &trace,
+            &mut FifoScheduler::new(),
+            crate::SimOptions { horizon: 10, validate: false },
+        )
+        .expect("valid run");
         let g = render_gantt(&trace, &r.schedule, 10, 10);
         // The second machine never works: its row is all dots.
         let row2 = g.lines().nth(2).unwrap();

@@ -32,10 +32,9 @@
 //! # Ok::<(), fairsched_sim::SimError>(())
 //! ```
 //!
-//! The pre-session entry points [`simulate`] / [`simulate_with_options`]
-//! remain for code that already holds a `&mut dyn Scheduler`; they are
-//! thin wrappers over [`run_scheduler`] and report engine-contract
-//! violations as the same typed [`SimError`]s.
+//! Code that already holds a `&mut dyn Scheduler` runs it with
+//! [`run_scheduler`], the one engine entry point, which reports
+//! engine-contract violations as the same typed [`SimError`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,9 +50,9 @@ pub mod session;
 pub mod stepper;
 
 pub use cluster::Cluster;
-pub use engine::{run_scheduler, simulate, simulate_with_options, SimOptions, SimResult};
+pub use engine::{run_scheduler, SimOptions, SimResult};
 pub use report::{
-    MetricColumn, MetricContext, MetricError, MetricFactory, MetricOutput,
+    MetricColumn, MetricContext, MetricError, MetricFactory, MetricKind, MetricOutput,
     MetricRegistry, MetricSpec, MetricValue, Report, TimeSeriesColumn,
 };
 pub use session::{

@@ -81,8 +81,12 @@ mod tests {
         let c = b.org("b", 1);
         b.job(a, 0, 4).job(c, 1, 2);
         let trace = b.build().unwrap();
-        let r =
-            crate::simulate(&trace, &mut FifoScheduler::new(), 100).expect("valid run");
+        let r = crate::run_scheduler(
+            &trace,
+            &mut FifoScheduler::new(),
+            crate::SimOptions { horizon: 100, validate: false },
+        )
+        .expect("valid run");
         (trace, r.schedule)
     }
 

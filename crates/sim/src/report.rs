@@ -1,34 +1,30 @@
 //! The metrics registry and the typed `Report` pipeline — the measurement
 //! half of the spec-addressable triad.
 //!
-//! PR 1 made *schedulers* pure data (`SchedulerSpec` through
-//! `fairsched_core::scheduler::registry`), PR 3 did the same for
-//! *workloads* (`WorkloadSpec` through `fairsched_workloads::spec`); this
-//! module completes the triad for *fairness measures*, so a whole
-//! evaluation — which policies, on which workloads, measured how — is
-//! expressible as strings. It mirrors the other two registries piece for
-//! piece:
+//! The *fairness-measure* axis of the paper's experiment matrix, so a
+//! whole evaluation — which policies, on which workloads, measured how —
+//! is expressible as strings. It is one instance of the generic
+//! [`fairsched_core::spec`] design, with [`MetricKind`] as the axis:
 //!
-//! * [`MetricSpec`] — a parsed, canonical description of a fairness
-//!   index, written as a string such as `"delay"`, `"delay:norm=ideal"`,
-//!   `"psi"`, `"utility:kind=contrib"`, `"stretch"` or `"ranking"`. Specs
-//!   share the [`fairsched_core::spec`] grammar with scheduler and
-//!   workload specs: `FromStr`/`Display` round-trip exactly and
-//!   parameters render in canonical sorted order.
+//! * [`MetricSpec`] — [`Spec`]`<`[`MetricKind`]`>`, a parsed, canonical
+//!   description of a fairness index, written as a string such as
+//!   `"delay"`, `"delay:norm=ideal"`, `"psi"`, `"utility:kind=contrib"`,
+//!   `"stretch"` or `"ranking"`, with [`MetricError`]-worded failures.
 //! * [`MetricFactory`] — an object-safe evaluator turning a spec plus a
 //!   [`MetricContext`] (trace, schedule, exact `ψ_sp`, horizon, optional
-//!   REF reference) into a per-organization [`MetricColumn`]. Factories
-//!   declare [`conformance_specs`](MetricFactory::conformance_specs)
-//!   (mandatory — the cross-crate harness in `tests/metric_conformance.rs`
-//!   fails factories registered without coverage), whether they
-//!   [`need a reference`](MetricFactory::needs_reference) schedule, and
-//!   whether their values are
+//!   REF reference) into a per-organization [`MetricColumn`]. Like every
+//!   factory it declares [`conformance_specs`](Factory::conformance_specs)
+//!   (the harness in `tests/spec_conformance.rs` fails factories
+//!   registered without coverage); it also declares whether it
+//!   [`needs a reference`](MetricFactory::needs_reference) schedule, and
+//!   whether its values are
 //!   [`horizon-invariant`](MetricFactory::horizon_invariant) once every
 //!   scheduled job has completed.
-//! * [`MetricRegistry`] — a name → factory map with the built-in
-//!   families below; [`MetricRegistry::shared`] is the process-wide
-//!   instance, [`MetricRegistry::register`] admits downstream fairness
-//!   indices in one file.
+//! * [`MetricRegistry`] — [`Registry`]`<`[`MetricKind`]`>` with the
+//!   built-in families below; [`MetricRegistry::shared`] is the
+//!   process-wide instance, [`MetricRegistry::register`] admits downstream
+//!   fairness indices in one file, and [`MetricRegistry::build`]
+//!   evaluates one spec.
 //!
 //! # Built-in metric families
 //!
@@ -72,13 +68,12 @@ use fairsched_core::fairness::{schedule_series, timeline_sample_times};
 use fairsched_core::model::{Time, Trace};
 use fairsched_core::schedule::Schedule;
 use fairsched_core::scheduler::registry::SchedulerSpec;
-use fairsched_core::spec::{valid_ident, ParamError, SpecBody, SpecParseError};
+use fairsched_core::spec::{Factory, FnFactory, Registry, Spec, SpecFailure, SpecKind};
 use fairsched_core::utility::{
     sp_value, FlowTime, Makespan, ResourceShare, SpUtility, Tardiness, Util, Utility,
 };
 use fairsched_workloads::spec::WorkloadSpec;
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -161,137 +156,36 @@ impl fmt::Display for MetricError {
 
 impl std::error::Error for MetricError {}
 
-/// A parsed metric configuration: a registry name plus string parameters,
-/// with a canonical textual form — the shared [`fairsched_core::spec`]
-/// grammar wrapped with metric-worded errors, exactly as
-/// [`SchedulerSpec`] and [`WorkloadSpec`] wrap it.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricSpec {
-    body: SpecBody,
-}
-
-impl MetricSpec {
-    /// A parameterless spec.
-    pub fn bare(name: impl Into<String>) -> Self {
-        MetricSpec { body: SpecBody::bare(name) }
-    }
-
-    /// Adds or replaces a parameter (builder style). Values containing
-    /// the structural characters `%`/`,`/`=` are percent-escaped on
-    /// render, so the `Display`/`FromStr` round trip holds for any
-    /// non-empty value.
-    ///
-    /// # Panics
-    /// Panics if the key is not a lowercase identifier or the rendered
-    /// value is empty.
-    pub fn with(self, key: impl Into<String>, value: impl fmt::Display) -> Self {
-        MetricSpec { body: self.body.with(key, value) }
-    }
-
-    /// The registry name this spec selects.
-    pub fn name(&self) -> &str {
-        self.body.name()
-    }
-
-    /// All parameters, sorted by key.
-    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.body.params()
-    }
-
-    /// A raw parameter value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.body.get(key)
-    }
-
-    fn lift(&self, e: ParamError) -> MetricError {
+impl From<SpecFailure> for MetricError {
+    fn from(e: SpecFailure) -> Self {
         match e {
-            ParamError::Unknown { param, accepted } => MetricError::UnknownParam {
-                metric: self.name().to_string(),
-                param,
-                accepted,
-            },
-            ParamError::Bad { param, reason } => {
-                MetricError::BadParam { metric: self.name().to_string(), param, reason }
+            SpecFailure::Empty => MetricError::Empty,
+            SpecFailure::BadSyntax { spec, reason } => {
+                MetricError::BadSyntax { spec, reason }
             }
-        }
-    }
-
-    /// Rejects parameters outside `accepted` (factories call this first so
-    /// typos fail loudly instead of silently using defaults).
-    pub fn deny_unknown_params(&self, accepted: &[&str]) -> Result<(), MetricError> {
-        self.body.deny_unknown_params(accepted).map_err(|e| self.lift(e))
-    }
-
-    /// A typed parameter with a default.
-    pub fn parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, MetricError> {
-        self.body.parsed(key, default).map_err(|e| self.lift(e))
-    }
-
-    /// A helper for range/constraint violations discovered by factories.
-    pub fn bad_param(&self, key: &str, reason: impl Into<String>) -> MetricError {
-        MetricError::BadParam {
-            metric: self.name().to_string(),
-            param: key.to_string(),
-            reason: reason.into(),
-        }
-    }
-
-    /// Parses a comma-separated metric list as the CLI's `--metrics` flag
-    /// accepts it (`delay,psi`, `delay:norm=ideal,stretch`). A segment
-    /// that looks like a bare `key=value` continuation (no `:` of its
-    /// own) is glued onto the previous spec, so multi-parameter specs
-    /// survive the outer comma split.
-    pub fn parse_list(text: &str) -> Result<Vec<MetricSpec>, MetricError> {
-        let mut pieces: Vec<String> = Vec::new();
-        for segment in text.split(',') {
-            match pieces.last_mut() {
-                Some(last) if segment.contains('=') && !segment.contains(':') => {
-                    last.push(',');
-                    last.push_str(segment);
-                }
-                _ => pieces.push(segment.to_string()),
+            SpecFailure::UnknownName { name, known } => {
+                MetricError::UnknownMetric { name, known }
             }
-        }
-        pieces.iter().map(|p| p.parse()).collect()
-    }
-}
-
-impl fmt::Display for MetricSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.body.fmt(f)
-    }
-}
-
-impl FromStr for MetricSpec {
-    type Err = MetricError;
-
-    fn from_str(s: &str) -> Result<Self, MetricError> {
-        match s.parse::<SpecBody>() {
-            Ok(body) => Ok(MetricSpec { body }),
-            Err(SpecParseError::Empty) => Err(MetricError::Empty),
-            Err(SpecParseError::BadSyntax { spec, reason }) => {
-                Err(MetricError::BadSyntax { spec, reason })
+            SpecFailure::UnknownParam { name, param, accepted } => {
+                MetricError::UnknownParam { metric: name, param, accepted }
+            }
+            SpecFailure::BadParam { name, param, reason } => {
+                MetricError::BadParam { metric: name, param, reason }
             }
         }
     }
 }
 
-impl serde::Serialize for MetricSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.to_string())
-    }
-}
+/// The metric axis of the experiment matrix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum MetricKind {}
 
-impl serde::Deserialize for MetricSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::String(s) => {
-                s.parse().map_err(|e: MetricError| serde::DeError(e.to_string()))
-            }
-            _ => Err(serde::DeError::expected("string", "MetricSpec")),
-        }
-    }
-}
+/// A parsed metric configuration (see [`Spec`]).
+pub type MetricSpec = Spec<MetricKind>;
+
+/// The name → factory map behind every fairness measurement in the
+/// workspace (see [`Registry`]).
+pub type MetricRegistry = Registry<MetricKind>;
 
 /// One measured value: exact integers stay exact (`ψ_sp`, delays, counts
 /// are integer quantities in this model), ratios are floats. Rendering
@@ -520,26 +414,7 @@ impl From<TimeSeriesColumn> for MetricOutput {
 
 /// An object-safe fairness-index evaluator, registered under a unique
 /// name.
-pub trait MetricFactory: Send + Sync {
-    /// The registry name (what spec strings select).
-    fn name(&self) -> &str;
-
-    /// One-line human description, shown in CLI help.
-    fn summary(&self) -> &str;
-
-    /// Parameter keys this factory accepts (for error messages and docs).
-    fn accepted_params(&self) -> &[&str] {
-        &[]
-    }
-
-    /// Representative specs that must evaluate in any environment — the
-    /// conformance harness (`tests/metric_conformance.rs`) runs every one
-    /// of them through round-trip, determinism, shape, and (where
-    /// claimed) horizon-invariance checks. Must be non-empty: the
-    /// harness's coverage gate fails factories registered without
-    /// conformance coverage.
-    fn conformance_specs(&self) -> Vec<MetricSpec>;
-
+pub trait MetricFactory: Factory<MetricKind> {
     /// Whether this metric compares against the REF reference schedule
     /// ([`MetricContext::reference`]). Consumers use this to decide
     /// whether a reference run is needed at all.
@@ -562,8 +437,8 @@ pub trait MetricFactory: Send + Sync {
     /// `Ok(column.into())`).
     ///
     /// Implementations should reject parameters outside
-    /// [`accepted_params`](MetricFactory::accepted_params) via
-    /// [`MetricSpec::deny_unknown_params`].
+    /// [`accepted_params`](Factory::accepted_params) via
+    /// [`Spec::deny_unknown_params`].
     fn evaluate(
         &self,
         spec: &MetricSpec,
@@ -571,45 +446,26 @@ pub trait MetricFactory: Send + Sync {
     ) -> Result<MetricOutput, MetricError>;
 }
 
-/// A closure-backed [`MetricFactory`] (how all built-ins are defined).
-struct FnMetric<F> {
-    name: &'static str,
-    summary: &'static str,
-    accepted: &'static [&'static str],
-    conformance: fn() -> Vec<MetricSpec>,
+/// A built-in metric's evaluation closure plus the two properties a
+/// [`MetricFactory`] declares beyond the common metadata.
+struct MetricFn<F> {
     needs_reference: bool,
     horizon_invariant: bool,
     eval: F,
 }
 
-impl<F> MetricFactory for FnMetric<F>
+impl<F> MetricFactory for FnFactory<MetricKind, MetricFn<F>>
 where
     F: Fn(&MetricSpec, &MetricContext<'_>) -> Result<MetricOutput, MetricError>
         + Send
         + Sync,
 {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn summary(&self) -> &str {
-        self.summary
-    }
-
-    fn accepted_params(&self) -> &[&str] {
-        self.accepted
-    }
-
-    fn conformance_specs(&self) -> Vec<MetricSpec> {
-        (self.conformance)()
-    }
-
     fn needs_reference(&self) -> bool {
-        self.needs_reference
+        self.build.needs_reference
     }
 
     fn horizon_invariant(&self) -> bool {
-        self.horizon_invariant
+        self.build.horizon_invariant
     }
 
     fn evaluate(
@@ -618,141 +474,33 @@ where
         ctx: &MetricContext<'_>,
     ) -> Result<MetricOutput, MetricError> {
         spec.deny_unknown_params(self.accepted)?;
-        if self.needs_reference {
+        if self.build.needs_reference {
             ctx.require_reference(spec)?;
         }
-        (self.eval)(spec, ctx)
+        (self.build.eval)(spec, ctx)
     }
 }
 
-/// The name → factory map behind every fairness measurement in the
-/// workspace.
-///
-/// [`MetricRegistry::default`] pre-populates the built-in families (see
-/// the [module docs](self)); use [`MetricRegistry::new`] +
-/// [`MetricRegistry::register`] for a curated set, or `register` on a
-/// default registry to add downstream fairness indices.
-pub struct MetricRegistry {
-    factories: BTreeMap<String, Box<dyn MetricFactory>>,
-}
-
-impl MetricRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricRegistry { factories: BTreeMap::new() }
-    }
-
-    /// The process-wide default registry, built once on first use —
-    /// `Simulation` reports, the bench runner, and the CLI all resolve
-    /// through it instead of rebuilding [`MetricRegistry::default`] per
-    /// call.
-    pub fn shared() -> &'static MetricRegistry {
-        static SHARED: std::sync::OnceLock<MetricRegistry> = std::sync::OnceLock::new();
-        SHARED.get_or_init(MetricRegistry::default)
-    }
-
-    /// Registers a factory, replacing any previous one of the same name
-    /// (last registration wins) and returning the replaced factory if
-    /// any.
-    pub fn register(
-        &mut self,
-        factory: Box<dyn MetricFactory>,
-    ) -> Option<Box<dyn MetricFactory>> {
-        let name = factory.name().to_string();
-        debug_assert!(valid_ident(&name), "invalid factory name {name:?}");
-        self.factories.insert(name, factory)
-    }
-
-    /// The factory registered under `name`.
-    pub fn get(&self, name: &str) -> Option<&dyn MetricFactory> {
-        self.factories.get(name).map(Box::as_ref)
-    }
-
-    /// All registered names, sorted.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.factories.keys().map(String::as_str)
-    }
-
-    /// Every factory's conformance specs, keyed by factory name — the
-    /// iteration surface of the cross-crate conformance harness.
-    pub fn conformance_specs(&self) -> Vec<(String, Vec<MetricSpec>)> {
-        self.factories
-            .values()
-            .map(|f| (f.name().to_string(), f.conformance_specs()))
-            .collect()
-    }
-
-    /// Whether any of `specs` resolves to a factory that needs the REF
-    /// reference (unknown names resolve to "no" here; they fail with a
-    /// typed error at evaluation).
-    pub fn any_needs_reference(&self, specs: &[MetricSpec]) -> bool {
-        specs
-            .iter()
-            .any(|s| self.get(s.name()).is_some_and(MetricFactory::needs_reference))
-    }
-
-    /// Evaluates one metric spec over a context.
-    pub fn evaluate(
-        &self,
-        spec: &MetricSpec,
-        ctx: &MetricContext<'_>,
-    ) -> Result<MetricOutput, MetricError> {
-        let factory = self.factories.get(spec.name()).ok_or_else(|| {
-            MetricError::UnknownMetric {
-                name: spec.name().to_string(),
-                known: self.names().map(str::to_string).collect(),
-            }
-        })?;
-        factory.evaluate(spec, ctx)
-    }
-
-    /// A help listing: one `name — summary [params]` line per factory.
-    pub fn help(&self) -> String {
-        let mut out = String::new();
-        for f in self.factories.values() {
-            out.push_str(&format!("  {:<14} {}", f.name(), f.summary()));
-            if !f.accepted_params().is_empty() {
-                out.push_str(&format!(" (params: {})", f.accepted_params().join(", ")));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn register_fn<F>(
-        &mut self,
-        name: &'static str,
-        summary: &'static str,
-        accepted: &'static [&'static str],
-        conformance: fn() -> Vec<MetricSpec>,
-        needs_reference: bool,
-        horizon_invariant: bool,
-        eval: F,
-    ) where
-        F: Fn(&MetricSpec, &MetricContext<'_>) -> Result<MetricOutput, MetricError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.register(Box::new(FnMetric {
-            name,
-            summary,
-            accepted,
-            conformance,
-            needs_reference,
-            horizon_invariant,
-            eval,
-        }));
-    }
-}
-
-impl fmt::Debug for MetricRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MetricRegistry")
-            .field("names", &self.names().collect::<Vec<_>>())
-            .finish()
-    }
+/// Registers a closure-backed built-in (the closure's signature pins the
+/// argument types the built-ins leave to inference).
+#[allow(clippy::too_many_arguments)]
+fn register_fn<F>(
+    r: &mut MetricRegistry,
+    name: &'static str,
+    summary: &'static str,
+    accepted: &'static [&'static str],
+    conformance: fn() -> Vec<MetricSpec>,
+    needs_reference: bool,
+    horizon_invariant: bool,
+    eval: F,
+) where
+    F: Fn(&MetricSpec, &MetricContext<'_>) -> Result<MetricOutput, MetricError>
+        + Send
+        + Sync
+        + 'static,
+{
+    let build = MetricFn { needs_reference, horizon_invariant, eval };
+    r.register(Box::new(FnFactory { name, summary, accepted, conformance, build }));
 }
 
 fn column(
@@ -781,12 +529,31 @@ fn ranks_by_desc(values: &[Util]) -> Vec<usize> {
     rank
 }
 
-impl Default for MetricRegistry {
-    /// A registry with the built-in metric families (see the
-    /// [module docs](self) for the full table).
-    fn default() -> Self {
-        let mut r = MetricRegistry::new();
-        r.register_fn(
+impl SpecKind for MetricKind {
+    const SPEC_TYPE: &'static str = "MetricSpec";
+    type Error = MetricError;
+    type Factory = dyn MetricFactory;
+    type Ctx<'a> = MetricContext<'a>;
+    type Output = MetricOutput;
+
+    fn run(
+        factory: &dyn MetricFactory,
+        spec: &MetricSpec,
+        ctx: &MetricContext<'_>,
+    ) -> Result<MetricOutput, MetricError> {
+        factory.evaluate(spec, ctx)
+    }
+
+    fn shared() -> &'static MetricRegistry {
+        static SHARED: std::sync::OnceLock<MetricRegistry> = std::sync::OnceLock::new();
+        SHARED.get_or_init(MetricRegistry::default)
+    }
+
+    /// The built-in metric families (see the [module docs](self) for the
+    /// full table).
+    fn builtins(r: &mut MetricRegistry) {
+        register_fn(
+            r,
             "machines",
             "machines each organization contributes to the pool",
             &[],
@@ -800,7 +567,8 @@ impl Default for MetricRegistry {
                 ))
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "completed",
             "jobs completed by the horizon",
             &[],
@@ -812,7 +580,8 @@ impl Default for MetricRegistry {
                 Ok(int_column(spec, m.iter().map(|o| o.completed as i128).collect()))
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "flow",
             "total flow time (completion - release) of completed jobs",
             &[],
@@ -824,7 +593,8 @@ impl Default for MetricRegistry {
                 Ok(int_column(spec, m.iter().map(|o| o.flow_time as i128).collect()))
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "waiting",
             "total waiting time (start - release) of started jobs",
             &[],
@@ -836,7 +606,8 @@ impl Default for MetricRegistry {
                 Ok(int_column(spec, m.iter().map(|o| o.waiting_time as i128).collect()))
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "units",
             "unit job parts executed before the horizon",
             &[],
@@ -848,7 +619,8 @@ impl Default for MetricRegistry {
                 Ok(int_column(spec, m.iter().map(|o| o.units as i128).collect()))
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "stretch",
             "mean stretch (flow / processing time) of completed jobs",
             &[],
@@ -872,7 +644,8 @@ impl Default for MetricRegistry {
                 Ok(column(spec, per_org, aggregate))
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "utilization",
             "executed units over own machine-time (aggregate: pool utilization)",
             &[],
@@ -901,7 +674,8 @@ impl Default for MetricRegistry {
                 Ok(column(spec, per_org, aggregate))
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "psi",
             "exact strategy-proof utility psi_sp (aggregate: coalition value)",
             &[],
@@ -910,7 +684,8 @@ impl Default for MetricRegistry {
             false,
             |spec, ctx| Ok(int_column(spec, ctx.psi.to_vec())),
         );
-        r.register_fn(
+        register_fn(
+            r,
             "utility",
             "pluggable utility function",
             &["kind"],
@@ -965,7 +740,8 @@ impl Default for MetricRegistry {
                 ))
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "delay",
             "deviation from the REF reference (aggregate: the paper's delta-psi/p_tot)",
             &["norm"],
@@ -1041,7 +817,8 @@ impl Default for MetricRegistry {
                 }
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "ranking",
             "rank shift vs the REF ordering (aggregate: Kendall-tau distance)",
             &[],
@@ -1079,7 +856,8 @@ impl Default for MetricRegistry {
                 Ok(column(spec, per_org, aggregate))
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "timeline",
             "fairness trajectory vs REF per sample time (Definition 3.1)",
             &["samples", "stat"],
@@ -1087,7 +865,9 @@ impl Default for MetricRegistry {
                 vec![
                     MetricSpec::bare("timeline"),
                     MetricSpec::bare("timeline").with("samples", 16),
-                    MetricSpec::bare("timeline").with("samples", 8).with("stat", "delta_psi"),
+                    MetricSpec::bare("timeline")
+                        .with("samples", 8)
+                        .with("stat", "delta_psi"),
                     MetricSpec::bare("timeline").with("stat", "ptot"),
                 ]
             },
@@ -1201,7 +981,6 @@ impl Default for MetricRegistry {
                 }))
             },
         );
-        r
     }
 }
 
@@ -1259,7 +1038,7 @@ impl Report {
         let mut columns = Vec::new();
         let mut series = Vec::new();
         for spec in specs {
-            match registry.evaluate(spec, &ctx)? {
+            match registry.build(spec, &ctx)? {
                 MetricOutput::Column(c) => columns.push(c),
                 MetricOutput::Series(s) => series.push(s),
             }
@@ -1924,52 +1703,33 @@ mod tests {
     }
 
     #[test]
-    fn metric_specs_round_trip_canonically() {
-        for text in ["delay", "delay:norm=ideal", "psi", "utility:kind=contrib"] {
-            let spec: MetricSpec = text.parse().unwrap();
-            assert_eq!(spec.to_string(), text);
-        }
-        let spec: MetricSpec = "utility:kind=sp".parse().unwrap();
-        assert_eq!(spec.name(), "utility");
-        assert_eq!(spec.get("kind"), Some("sp"));
-    }
-
-    #[test]
-    fn parse_list_splits_and_glues_parameters() {
-        let specs = MetricSpec::parse_list("delay,psi").unwrap();
-        assert_eq!(specs.len(), 2);
-        assert_eq!(specs[0].to_string(), "delay");
-        let specs = MetricSpec::parse_list("delay:norm=ideal,stretch").unwrap();
-        assert_eq!(specs.len(), 2);
-        assert_eq!(specs[0].to_string(), "delay:norm=ideal");
-        assert_eq!(specs[1].to_string(), "stretch");
-        assert!(MetricSpec::parse_list("delay,,psi").is_err());
-    }
-
-    #[test]
     fn registry_errors_are_typed() {
         let registry = MetricRegistry::default();
         let trace = small_trace();
         let result = run(&trace, "fifo", 50);
         let ctx = MetricContext::from_result(&trace, &result);
+        assert_eq!("".parse::<MetricSpec>(), Err(MetricError::Empty));
+        let err = "delay:".parse::<MetricSpec>().unwrap_err();
+        assert!(matches!(err, MetricError::BadSyntax { .. }));
+        assert!(err.to_string().starts_with("malformed metric spec \"delay:\""), "{err}");
         assert!(matches!(
-            registry.evaluate(&"nonesuch".parse().unwrap(), &ctx),
+            registry.build(&"nonesuch".parse().unwrap(), &ctx),
             Err(MetricError::UnknownMetric { .. })
         ));
         assert!(matches!(
-            registry.evaluate(&"psi:warp=9".parse().unwrap(), &ctx),
+            registry.build(&"psi:warp=9".parse().unwrap(), &ctx),
             Err(MetricError::UnknownParam { .. })
         ));
         assert!(matches!(
-            registry.evaluate(&"utility:kind=vibes".parse().unwrap(), &ctx),
+            registry.build(&"utility:kind=vibes".parse().unwrap(), &ctx),
             Err(MetricError::BadParam { .. })
         ));
         assert!(matches!(
-            registry.evaluate(&"delay".parse().unwrap(), &ctx),
+            registry.build(&"delay".parse().unwrap(), &ctx),
             Err(MetricError::NeedsReference { .. })
         ));
         assert!(matches!(
-            registry.evaluate(&"delay:norm=sideways".parse().unwrap(), &ctx),
+            registry.build(&"delay:norm=sideways".parse().unwrap(), &ctx),
             Err(MetricError::NeedsReference { .. }) | Err(MetricError::BadParam { .. })
         ));
     }
@@ -1983,7 +1743,7 @@ mod tests {
         let m = org_metrics(&trace, &result.schedule, 40);
         let col = |name: &str| {
             registry
-                .evaluate(&name.parse().unwrap(), &ctx)
+                .build(&name.parse().unwrap(), &ctx)
                 .unwrap()
                 .into_column()
                 .unwrap()
@@ -2015,7 +1775,7 @@ mod tests {
         let reference = run(&trace, "ref", horizon);
         let ctx = MetricContext::from_result(&trace, &eval).with_reference(&reference);
         let col = MetricRegistry::shared()
-            .evaluate(&"delay".parse().unwrap(), &ctx)
+            .build(&"delay".parse().unwrap(), &ctx)
             .unwrap()
             .into_column()
             .unwrap();
@@ -2033,7 +1793,7 @@ mod tests {
         }
         // norm=none carries the signed integer deviations.
         let raw = MetricRegistry::shared()
-            .evaluate(&"delay:norm=none".parse().unwrap(), &ctx)
+            .build(&"delay:norm=none".parse().unwrap(), &ctx)
             .unwrap()
             .into_column()
             .unwrap();
@@ -2049,7 +1809,7 @@ mod tests {
         let result = run(&trace, "ref", 40);
         let ctx = MetricContext::from_result(&trace, &result).with_reference(&result);
         let col = MetricRegistry::shared()
-            .evaluate(&"ranking".parse().unwrap(), &ctx)
+            .build(&"ranking".parse().unwrap(), &ctx)
             .unwrap()
             .into_column()
             .unwrap();
@@ -2061,7 +1821,7 @@ mod tests {
         swapped.psi.reverse();
         let ctx2 = MetricContext::from_result(&trace, &result).with_reference(&swapped);
         let col2 = MetricRegistry::shared()
-            .evaluate(&"ranking".parse().unwrap(), &ctx2)
+            .build(&"ranking".parse().unwrap(), &ctx2)
             .unwrap()
             .into_column()
             .unwrap();
@@ -2077,7 +1837,7 @@ mod tests {
         let result = run(&trace, "fifo", 50);
         let ctx = MetricContext::from_result(&trace, &result);
         let col = MetricRegistry::shared()
-            .evaluate(&"utility:kind=contrib".parse().unwrap(), &ctx)
+            .build(&"utility:kind=contrib".parse().unwrap(), &ctx)
             .unwrap()
             .into_column()
             .unwrap();
@@ -2212,81 +1972,11 @@ mod tests {
         assert_eq!(format_sig(-0.0144), "-0.014");
     }
 
-    #[test]
-    fn shared_registry_is_built_once_and_complete() {
-        let a = MetricRegistry::shared();
-        let b = MetricRegistry::shared();
-        assert!(std::ptr::eq(a, b), "shared() must return one instance");
-        let fresh = MetricRegistry::default();
-        assert_eq!(a.names().collect::<Vec<_>>(), fresh.names().collect::<Vec<_>>());
-        assert!(a.names().count() >= 10);
-    }
-
-    #[test]
-    fn help_mentions_every_name() {
-        let registry = MetricRegistry::default();
-        let help = registry.help();
-        for name in registry.names() {
-            assert!(help.contains(name), "help is missing {name}");
-        }
-    }
-
-    #[test]
-    fn registration_extends_and_overrides() {
-        struct Custom;
-        impl MetricFactory for Custom {
-            fn name(&self) -> &str {
-                "custom"
-            }
-            fn summary(&self) -> &str {
-                "test-only"
-            }
-            fn conformance_specs(&self) -> Vec<MetricSpec> {
-                vec![MetricSpec::bare("custom")]
-            }
-            fn evaluate(
-                &self,
-                spec: &MetricSpec,
-                ctx: &MetricContext<'_>,
-            ) -> Result<MetricOutput, MetricError> {
-                Ok(MetricColumn {
-                    spec: spec.clone(),
-                    per_org: vec![MetricValue::Int(1); ctx.trace.n_orgs()],
-                    aggregate: MetricValue::Int(ctx.trace.n_orgs() as i128),
-                }
-                .into())
-            }
-        }
-        let mut registry = MetricRegistry::default();
-        assert!(registry.register(Box::new(Custom)).is_none());
-        let trace = small_trace();
-        let result = run(&trace, "fifo", 30);
-        let ctx = MetricContext::from_result(&trace, &result);
-        let col = registry
-            .evaluate(&"custom".parse().unwrap(), &ctx)
-            .unwrap()
-            .into_column()
-            .unwrap();
-        assert_eq!(col.aggregate, MetricValue::Int(2));
-        assert!(registry.register(Box::new(Custom)).is_some());
-    }
-
     fn ref_context() -> (Trace, SimResult, SimResult) {
         let trace = small_trace();
         let eval = run(&trace, "fifo", 40);
         let reference = run(&trace, "ref", 40);
         (trace, eval, reference)
-    }
-
-    #[test]
-    fn timeline_specs_round_trip_canonically() {
-        for text in
-            ["timeline", "timeline:samples=64", "timeline:samples=8,stat=delta_psi"]
-        {
-            let spec: MetricSpec = text.parse().unwrap();
-            assert_eq!(spec.to_string(), text);
-            assert_eq!(spec.name(), "timeline");
-        }
     }
 
     /// The historical `fairness_timeline` path panicked on `samples == 0`
@@ -2297,7 +1987,7 @@ mod tests {
         let (trace, eval, reference) = ref_context();
         let ctx = MetricContext::from_result(&trace, &eval).with_reference(&reference);
         let registry = MetricRegistry::shared();
-        let err = |spec: &str| registry.evaluate(&spec.parse().unwrap(), &ctx);
+        let err = |spec: &str| registry.build(&spec.parse().unwrap(), &ctx);
         assert!(matches!(
             err("timeline:samples=0"),
             Err(MetricError::BadParam { ref metric, ref param, .. })
@@ -2320,7 +2010,7 @@ mod tests {
         assert!(matches!(err("timeline:warp=9"), Err(MetricError::UnknownParam { .. })));
         let bare = MetricContext::from_result(&trace, &eval);
         assert!(matches!(
-            registry.evaluate(&"timeline".parse().unwrap(), &bare),
+            registry.build(&"timeline".parse().unwrap(), &bare),
             Err(MetricError::NeedsReference { ref metric }) if metric == "timeline"
         ));
     }
@@ -2335,18 +2025,10 @@ mod tests {
         let ctx = MetricContext::from_result(&trace, &eval).with_reference(&reference);
         let registry = MetricRegistry::shared();
         let series = |spec: &str| {
-            registry
-                .evaluate(&spec.parse().unwrap(), &ctx)
-                .unwrap()
-                .into_series()
-                .unwrap()
+            registry.build(&spec.parse().unwrap(), &ctx).unwrap().into_series().unwrap()
         };
         let column = |spec: &str| {
-            registry
-                .evaluate(&spec.parse().unwrap(), &ctx)
-                .unwrap()
-                .into_column()
-                .unwrap()
+            registry.build(&spec.parse().unwrap(), &ctx).unwrap().into_column().unwrap()
         };
 
         let s = series("timeline:samples=16");

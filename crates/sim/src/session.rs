@@ -1,10 +1,9 @@
 //! The `Simulation` session API: one fluent, fallible entry point for
 //! running any registered scheduler over any registered workload.
 //!
-//! The historical entry points ([`simulate`](crate::simulate),
-//! [`simulate_with_options`](crate::simulate_with_options)) take an
-//! already-constructed `&mut dyn Scheduler`.
-//! [`Simulation`] replaces both concerns: schedulers are named by
+//! The engine entry point ([`crate::run_scheduler`]) takes
+//! an already-constructed `&mut dyn Scheduler`. [`Simulation`] adds
+//! construction from data: schedulers are named by
 //! [`SchedulerSpec`] strings resolved through a [`Registry`], workloads by
 //! [`WorkloadSpec`] strings resolved through a [`WorkloadRegistry`], and
 //! every failure — malformed spec, unknown scheduler or workload, invalid
@@ -614,11 +613,16 @@ impl<'a> Simulation<'a> {
     {
         let metric_registry = self.resolve_metrics();
         let metric_specs = self.effective_metrics();
+        // Unknown metric names need no reference here; they fail typedly
+        // at evaluation.
+        let needs_reference = metric_specs.iter().any(|spec| {
+            metric_registry.get(spec.name()).is_some_and(|f| f.needs_reference())
+        });
         ReportRow {
             trace,
             registry: self.resolve_registry(),
             metric_registry,
-            needs_reference: metric_registry.any_needs_reference(&metric_specs),
+            needs_reference,
             metric_specs,
             options: self.options_for(trace),
             seed: self.seed,
@@ -1405,19 +1409,25 @@ mod tests {
     /// `fails`, returns the typed build error REF gives a trace with too
     /// many organizations).
     fn counting_registry(fails: bool) -> (Registry, Arc<AtomicUsize>) {
-        use fairsched_core::scheduler::registry::SchedulerFactory;
+        use fairsched_core::scheduler::registry::{SchedulerFactory, SchedulerKind};
         use fairsched_core::scheduler::RefScheduler;
+        use fairsched_core::spec::Factory;
         struct CountingRef {
             builds: Arc<AtomicUsize>,
             fails: bool,
         }
-        impl SchedulerFactory for CountingRef {
+        impl Factory<SchedulerKind> for CountingRef {
             fn name(&self) -> &str {
                 "ref"
             }
             fn summary(&self) -> &str {
                 "test-only build-counting REF"
             }
+            fn conformance_specs(&self) -> Vec<SchedulerSpec> {
+                vec![SchedulerSpec::bare("ref")]
+            }
+        }
+        impl SchedulerFactory for CountingRef {
             fn build(
                 &self,
                 spec: &SchedulerSpec,

@@ -24,8 +24,9 @@
 //! # Spec-addressable workloads
 //!
 //! Every workload is reachable by a **spec string** through
-//! [`spec::WorkloadRegistry`], mirroring the scheduler registry — so an
-//! experiment matrix (workloads × schedulers) is pure data:
+//! [`spec::WorkloadRegistry`], the workload instance of the generic
+//! `fairsched_core::spec` registry — so an experiment matrix (workloads ×
+//! schedulers) is pure data:
 //!
 //! | spec | meaning |
 //! |---|---|
@@ -50,7 +51,7 @@
 //! specs via [`fairsched_core::spec`]. See [`spec`] for the full parameter
 //! tables and the [`spec::WorkloadFactory`] registration surface; every
 //! registered factory — built-in or downstream — is exercised by the
-//! workspace conformance suite (`tests/workload_conformance.rs`).
+//! workspace conformance suite (`tests/spec_conformance.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,6 +66,6 @@ pub use assign::{to_trace, MachineSplit, UserJob};
 pub use presets::{preset, Preset, PresetName};
 pub use spec::{
     synth_spec, trace_to_json, write_trace_json, WorkloadContext, WorkloadError,
-    WorkloadFactory, WorkloadRegistry, WorkloadSpec,
+    WorkloadFactory, WorkloadKind, WorkloadRegistry, WorkloadSpec,
 };
 pub use synth::{generate, SynthConfig};

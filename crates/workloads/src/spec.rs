@@ -1,26 +1,22 @@
 //! The workload registry: one construction path for every workload.
 //!
-//! PR 1 made the *scheduler* axis of the paper's experiment matrix pure
-//! data (`SchedulerSpec` strings through
-//! `fairsched_core::scheduler::registry`); this module does the same for
-//! the *workload* axis, so a whole Section 7.2-style evaluation —
-//! workloads × machine splits × schedulers — is expressible as strings.
-//! It mirrors the scheduler registry piece for piece:
+//! The *workload* axis of the paper's experiment matrix, so a whole
+//! Section 7.2-style evaluation — workloads × machine splits × schedulers
+//! — is expressible as strings. It is one instance of the generic
+//! [`fairsched_core::spec`] design, with [`WorkloadKind`] as the axis:
 //!
-//! * [`WorkloadSpec`] — a parsed, canonical description of a workload,
-//!   written as a string such as `"synth:preset=ricc,scale=0.5"`,
-//!   `"swf:path=/logs/lpc.swf,start=0,end=86400"` or `"fpt:k=8"`. Specs
-//!   share the [`fairsched_core::spec`] grammar with scheduler specs:
-//!   [`FromStr`]/[`Display`] round-trip exactly and parameters render in
-//!   canonical sorted order.
+//! * [`WorkloadSpec`] — [`Spec`]`<`[`WorkloadKind`]`>`, a parsed, canonical
+//!   description of a workload, written as a string such as
+//!   `"synth:preset=ricc,scale=0.5"`,
+//!   `"swf:path=/logs/lpc.swf,start=0,end=86400"` or `"fpt:k=8"`, with
+//!   [`WorkloadError`]-worded failures.
 //! * [`WorkloadFactory`] — an object-safe builder turning a spec plus a
-//!   [`WorkloadContext`] (seed) into a [`Trace`]. Factories also declare
-//!   [`conformance_specs`](WorkloadFactory::conformance_specs):
-//!   representative buildable specs that the cross-crate conformance
-//!   harness (`tests/workload_conformance.rs`) exercises, so
+//!   [`WorkloadContext`] (seed) into a [`Trace`]. Like every factory it
+//!   declares [`conformance_specs`](Factory::conformance_specs), which the
+//!   conformance harness (`tests/spec_conformance.rs`) exercises, so
 //!   downstream-registered workloads inherit the round-trip, determinism
 //!   and validity guarantees for free.
-//! * [`WorkloadRegistry`] — a name → factory map.
+//! * [`WorkloadRegistry`] — [`Registry`]`<`[`WorkloadKind`]`>`.
 //!   [`WorkloadRegistry::default`] knows the built-in families below;
 //!   [`WorkloadRegistry::shared`] is the process-wide instance every
 //!   consumer (CLI `--workload`, bench experiments, `Simulation`
@@ -51,10 +47,8 @@ use crate::presets::{preset, PresetName};
 use crate::swf;
 use crate::synth::{generate, SynthConfig};
 use fairsched_core::model::{Time, Trace, TraceError};
-use fairsched_core::spec::{valid_ident, ParamError, SpecBody, SpecParseError};
-use std::collections::BTreeMap;
+use fairsched_core::spec::{Factory, FnFactory, Registry, Spec, SpecFailure, SpecKind};
 use std::fmt;
-use std::str::FromStr;
 
 /// Why a workload spec string or a build from one was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -171,105 +165,36 @@ impl From<TraceError> for WorkloadError {
     }
 }
 
-/// A parsed workload configuration: a registry name plus string
-/// parameters, with a canonical textual form.
-///
-/// The grammar is the shared [`fairsched_core::spec`] grammar (identical
-/// to scheduler specs): `name` or `name:key=value,...`, parameters sorted,
-/// `FromStr` ∘ `Display` the identity on canonical strings.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct WorkloadSpec {
-    body: SpecBody,
-}
-
-impl WorkloadSpec {
-    /// A parameterless spec.
-    pub fn bare(name: impl Into<String>) -> Self {
-        WorkloadSpec { body: SpecBody::bare(name) }
-    }
-
-    /// Adds or replaces a parameter (builder style). Values containing
-    /// the structural characters `%`/`,`/`=` are percent-escaped on
-    /// render, so the `Display`/`FromStr` round trip holds for any
-    /// non-empty value (e.g. archive paths with commas).
-    ///
-    /// # Panics
-    /// Panics if the key is not a lowercase identifier or the rendered
-    /// value is empty.
-    pub fn with(self, key: impl Into<String>, value: impl fmt::Display) -> Self {
-        WorkloadSpec { body: self.body.with(key, value) }
-    }
-
-    /// The registry name this spec selects.
-    pub fn name(&self) -> &str {
-        self.body.name()
-    }
-
-    /// All parameters, sorted by key.
-    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.body.params()
-    }
-
-    /// A raw parameter value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.body.get(key)
-    }
-
-    fn lift(&self, e: ParamError) -> WorkloadError {
+impl From<SpecFailure> for WorkloadError {
+    fn from(e: SpecFailure) -> Self {
         match e {
-            ParamError::Unknown { param, accepted } => WorkloadError::UnknownParam {
-                workload: self.name().to_string(),
-                param,
-                accepted,
-            },
-            ParamError::Bad { param, reason } => WorkloadError::BadParam {
-                workload: self.name().to_string(),
-                param,
-                reason,
-            },
-        }
-    }
-
-    /// Rejects parameters outside `accepted` (factories call this first so
-    /// typos fail loudly instead of silently using defaults).
-    pub fn deny_unknown_params(&self, accepted: &[&str]) -> Result<(), WorkloadError> {
-        self.body.deny_unknown_params(accepted).map_err(|e| self.lift(e))
-    }
-
-    /// A typed parameter with a default.
-    pub fn parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, WorkloadError> {
-        self.body.parsed(key, default).map_err(|e| self.lift(e))
-    }
-
-    /// A helper for range/constraint violations discovered by factories.
-    pub fn bad_param(&self, key: &str, reason: impl Into<String>) -> WorkloadError {
-        WorkloadError::BadParam {
-            workload: self.name().to_string(),
-            param: key.to_string(),
-            reason: reason.into(),
-        }
-    }
-}
-
-impl fmt::Display for WorkloadSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.body.fmt(f)
-    }
-}
-
-impl FromStr for WorkloadSpec {
-    type Err = WorkloadError;
-
-    fn from_str(s: &str) -> Result<Self, WorkloadError> {
-        match s.parse::<SpecBody>() {
-            Ok(body) => Ok(WorkloadSpec { body }),
-            Err(SpecParseError::Empty) => Err(WorkloadError::Empty),
-            Err(SpecParseError::BadSyntax { spec, reason }) => {
-                Err(WorkloadError::BadSyntax { spec, reason })
+            SpecFailure::Empty => WorkloadError::Empty,
+            SpecFailure::BadSyntax { spec, reason } => {
+                WorkloadError::BadSyntax { spec, reason }
+            }
+            SpecFailure::UnknownName { name, known } => {
+                WorkloadError::UnknownWorkload { name, known }
+            }
+            SpecFailure::UnknownParam { name, param, accepted } => {
+                WorkloadError::UnknownParam { workload: name, param, accepted }
+            }
+            SpecFailure::BadParam { name, param, reason } => {
+                WorkloadError::BadParam { workload: name, param, reason }
             }
         }
     }
 }
+
+/// The workload axis of the experiment matrix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum WorkloadKind {}
+
+/// A parsed workload configuration (see [`Spec`]).
+pub type WorkloadSpec = Spec<WorkloadKind>;
+
+/// The name → factory map behind every workload construction in the
+/// workspace (see [`Registry`]).
+pub type WorkloadRegistry = Registry<WorkloadKind>;
 
 /// Everything a factory may need beyond the spec itself: the seed driving
 /// generation, user→organization shuffling, and machine-split draws.
@@ -282,25 +207,7 @@ pub struct WorkloadContext {
 }
 
 /// An object-safe workload builder, registered under a unique name.
-pub trait WorkloadFactory: Send + Sync {
-    /// The registry name (what spec strings select).
-    fn name(&self) -> &str;
-
-    /// One-line human description, shown in CLI help.
-    fn summary(&self) -> &str;
-
-    /// Parameter keys this factory accepts (for error messages and docs).
-    fn accepted_params(&self) -> &[&str] {
-        &[]
-    }
-
-    /// Representative specs that must build in any environment — the
-    /// conformance harness runs every one of them through round-trip,
-    /// determinism, seed-sensitivity, and trace-validity checks. Must be
-    /// non-empty: the harness fails the build for factories that register
-    /// without conformance coverage.
-    fn conformance_specs(&self) -> Vec<WorkloadSpec>;
-
+pub trait WorkloadFactory: Factory<WorkloadKind> {
     /// Whether different seeds must yield different traces (true for every
     /// built-in family; a deterministic replay workload may opt out).
     fn seed_sensitive(&self) -> bool {
@@ -310,8 +217,8 @@ pub trait WorkloadFactory: Send + Sync {
     /// Instantiates the trace for a spec in a context.
     ///
     /// Implementations should reject parameters outside
-    /// [`accepted_params`](WorkloadFactory::accepted_params) via
-    /// [`WorkloadSpec::deny_unknown_params`].
+    /// [`accepted_params`](Factory::accepted_params) via
+    /// [`Spec::deny_unknown_params`].
     fn build(
         &self,
         spec: &WorkloadSpec,
@@ -319,35 +226,10 @@ pub trait WorkloadFactory: Send + Sync {
     ) -> Result<Trace, WorkloadError>;
 }
 
-/// A closure-backed [`WorkloadFactory`] (how all built-ins are defined).
-struct FnFactory<F> {
-    name: &'static str,
-    summary: &'static str,
-    accepted: &'static [&'static str],
-    conformance: fn() -> Vec<WorkloadSpec>,
-    build: F,
-}
-
-impl<F> WorkloadFactory for FnFactory<F>
+impl<F> WorkloadFactory for FnFactory<WorkloadKind, F>
 where
     F: Fn(&WorkloadSpec, &WorkloadContext) -> Result<Trace, WorkloadError> + Send + Sync,
 {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn summary(&self) -> &str {
-        self.summary
-    }
-
-    fn accepted_params(&self) -> &[&str] {
-        self.accepted
-    }
-
-    fn conformance_specs(&self) -> Vec<WorkloadSpec> {
-        (self.conformance)()
-    }
-
     fn build(
         &self,
         spec: &WorkloadSpec,
@@ -355,130 +237,6 @@ where
     ) -> Result<Trace, WorkloadError> {
         spec.deny_unknown_params(self.accepted)?;
         (self.build)(spec, ctx)
-    }
-}
-
-/// The name → factory map behind every workload construction in the
-/// workspace.
-///
-/// [`WorkloadRegistry::default`] pre-populates the built-in families
-/// (`synth`, `swf`, `fpt`); use [`WorkloadRegistry::new`] +
-/// [`WorkloadRegistry::register`] for a curated set, or `register` on a
-/// default registry to add downstream families.
-pub struct WorkloadRegistry {
-    factories: BTreeMap<String, Box<dyn WorkloadFactory>>,
-}
-
-impl WorkloadRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        WorkloadRegistry { factories: BTreeMap::new() }
-    }
-
-    /// The process-wide default registry, built once on first use —
-    /// `Simulation` sessions, the bench runner, and the CLI all resolve
-    /// through it instead of rebuilding [`WorkloadRegistry::default`] per
-    /// call.
-    pub fn shared() -> &'static WorkloadRegistry {
-        static SHARED: std::sync::OnceLock<WorkloadRegistry> = std::sync::OnceLock::new();
-        SHARED.get_or_init(WorkloadRegistry::default)
-    }
-
-    /// Registers a factory, replacing any previous one of the same name
-    /// (last registration wins) and returning the replaced factory if any.
-    pub fn register(
-        &mut self,
-        factory: Box<dyn WorkloadFactory>,
-    ) -> Option<Box<dyn WorkloadFactory>> {
-        let name = factory.name().to_string();
-        debug_assert!(valid_ident(&name), "invalid factory name {name:?}");
-        self.factories.insert(name, factory)
-    }
-
-    /// The factory registered under `name`.
-    pub fn get(&self, name: &str) -> Option<&dyn WorkloadFactory> {
-        self.factories.get(name).map(Box::as_ref)
-    }
-
-    /// All registered names, sorted.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.factories.keys().map(String::as_str)
-    }
-
-    /// Every factory's conformance specs, keyed by factory name — the
-    /// iteration surface of the cross-crate conformance harness.
-    pub fn conformance_specs(&self) -> Vec<(String, Vec<WorkloadSpec>)> {
-        self.factories
-            .values()
-            .map(|f| (f.name().to_string(), f.conformance_specs()))
-            .collect()
-    }
-
-    /// Builds a trace from a parsed spec.
-    pub fn build(
-        &self,
-        spec: &WorkloadSpec,
-        ctx: &WorkloadContext,
-    ) -> Result<Trace, WorkloadError> {
-        let factory = self.factories.get(spec.name()).ok_or_else(|| {
-            WorkloadError::UnknownWorkload {
-                name: spec.name().to_string(),
-                known: self.names().map(str::to_string).collect(),
-            }
-        })?;
-        factory.build(spec, ctx)
-    }
-
-    /// Parses and builds in one step.
-    pub fn build_str(
-        &self,
-        spec: &str,
-        ctx: &WorkloadContext,
-    ) -> Result<Trace, WorkloadError> {
-        self.build(&spec.parse()?, ctx)
-    }
-
-    /// A help listing: one `name — summary [params]` line per factory.
-    pub fn help(&self) -> String {
-        let mut out = String::new();
-        for f in self.factories.values() {
-            out.push_str(&format!("  {:<14} {}", f.name(), f.summary()));
-            if !f.accepted_params().is_empty() {
-                out.push_str(&format!(" (params: {})", f.accepted_params().join(", ")));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    fn register_fn<F>(
-        &mut self,
-        name: &'static str,
-        summary: &'static str,
-        accepted: &'static [&'static str],
-        conformance: fn() -> Vec<WorkloadSpec>,
-        build: F,
-    ) where
-        F: Fn(&WorkloadSpec, &WorkloadContext) -> Result<Trace, WorkloadError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.register(Box::new(FnFactory {
-            name,
-            summary,
-            accepted,
-            conformance,
-            build,
-        }));
-    }
-}
-
-impl fmt::Debug for WorkloadRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkloadRegistry")
-            .field("names", &self.names().collect::<Vec<_>>())
-            .finish()
     }
 }
 
@@ -622,7 +380,7 @@ fn fpt_conformance() -> Vec<WorkloadSpec> {
 /// out of seed sensitivity.
 struct TraceFileFactory;
 
-impl WorkloadFactory for TraceFileFactory {
+impl Factory<WorkloadKind> for TraceFileFactory {
     fn name(&self) -> &str {
         "trace"
     }
@@ -638,7 +396,9 @@ impl WorkloadFactory for TraceFileFactory {
     fn conformance_specs(&self) -> Vec<WorkloadSpec> {
         vec![WorkloadSpec::bare("trace").with("path", sample_trace_path())]
     }
+}
 
+impl WorkloadFactory for TraceFileFactory {
     fn seed_sensitive(&self) -> bool {
         false
     }
@@ -649,10 +409,7 @@ impl WorkloadFactory for TraceFileFactory {
         _ctx: &WorkloadContext,
     ) -> Result<Trace, WorkloadError> {
         spec.deny_unknown_params(self.accepted_params())?;
-        let path = spec
-            .get("path")
-            .ok_or_else(|| spec.bad_param("path", "required parameter is missing"))?
-            .to_string();
+        let path = spec.required("path")?.to_string();
         let text = std::fs::read_to_string(&path).map_err(|e| WorkloadError::Io {
             path: path.clone(),
             message: e.to_string(),
@@ -665,15 +422,33 @@ impl WorkloadFactory for TraceFileFactory {
     }
 }
 
-impl Default for WorkloadRegistry {
-    /// A registry with the built-in workload families: `synth` (the
-    /// Section 7.2 presets), `swf` (archive log replay), `fpt` (the
-    /// lattice-bench growth family), and `trace` (serialized-trace
-    /// replay).
-    fn default() -> Self {
-        let mut r = WorkloadRegistry::new();
+impl SpecKind for WorkloadKind {
+    const SPEC_TYPE: &'static str = "WorkloadSpec";
+    type Error = WorkloadError;
+    type Factory = dyn WorkloadFactory;
+    type Ctx<'a> = WorkloadContext;
+    type Output = Trace;
+
+    fn run(
+        factory: &dyn WorkloadFactory,
+        spec: &WorkloadSpec,
+        ctx: &WorkloadContext,
+    ) -> Result<Trace, WorkloadError> {
+        factory.build(spec, ctx)
+    }
+
+    fn shared() -> &'static WorkloadRegistry {
+        static SHARED: std::sync::OnceLock<WorkloadRegistry> = std::sync::OnceLock::new();
+        SHARED.get_or_init(WorkloadRegistry::default)
+    }
+
+    /// The built-in workload families: `synth` (the Section 7.2
+    /// presets), `swf` (archive log replay), `fpt` (the lattice-bench
+    /// growth family), and `trace` (serialized-trace replay).
+    fn builtins(r: &mut WorkloadRegistry) {
         r.register(Box::new(TraceFileFactory));
-        r.register_fn(
+        register_fn(
+            r,
             "synth",
             "seeded synthetic preset (Section 7.2 archive shapes)",
             &["preset", "scale", "orgs", "horizon", "split", "zipf"],
@@ -715,18 +490,14 @@ impl Default for WorkloadRegistry {
                 Ok(to_trace(&jobs, orgs, p.synth.n_machines, split, ctx.seed)?)
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "swf",
             "replay a Standard Workload Format archive log",
             &["path", "start", "end", "machines", "orgs", "split", "zipf"],
             swf_conformance,
             |spec, ctx| {
-                let path = spec
-                    .get("path")
-                    .ok_or_else(|| {
-                        spec.bad_param("path", "required parameter is missing")
-                    })?
-                    .to_string();
+                let path = spec.required("path")?.to_string();
                 let start = spec.parsed("start", 0u64)?;
                 let end = spec.parsed("end", Time::MAX)?;
                 if start >= end {
@@ -762,18 +533,15 @@ impl Default for WorkloadRegistry {
                     })
             },
         );
-        r.register_fn(
+        register_fn(
+            r,
             "fpt",
             "lattice-bench FPT growth family (2k users on 2k machines)",
             &["k", "horizon", "load", "median", "sigma", "maxdur"],
             fpt_conformance,
             |spec, ctx| {
-                let k: usize = match spec.get("k") {
-                    None => {
-                        return Err(spec.bad_param("k", "required parameter is missing"))
-                    }
-                    Some(_) => spec.parsed("k", 0usize)?,
-                };
+                spec.required("k")?;
+                let k = spec.parsed("k", 0usize)?;
                 if k == 0 {
                     return Err(spec.bad_param("k", "need at least one organization"));
                 }
@@ -811,8 +579,25 @@ impl Default for WorkloadRegistry {
                 Ok(to_trace(&jobs, k, 2 * k, MachineSplit::Equal, ctx.seed)?)
             },
         );
-        r
     }
+}
+
+/// Registers a closure-backed built-in (the closure's signature pins the
+/// argument types the built-ins leave to inference).
+fn register_fn<F>(
+    r: &mut WorkloadRegistry,
+    name: &'static str,
+    summary: &'static str,
+    accepted: &'static [&'static str],
+    conformance: fn() -> Vec<WorkloadSpec>,
+    build: F,
+) where
+    F: Fn(&WorkloadSpec, &WorkloadContext) -> Result<Trace, WorkloadError>
+        + Send
+        + Sync
+        + 'static,
+{
+    r.register(Box::new(FnFactory { name, summary, accepted, conformance, build }));
 }
 
 #[cfg(test)]
@@ -824,31 +609,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_and_round_trips() {
-        for text in [
-            "synth:preset=ricc,scale=0.5",
-            "fpt:k=8",
-            "swf:end=86400,path=/logs/lpc.swf,start=0",
-            "synth:orgs=8,preset=lpc,scale=0.5,split=uniform",
-        ] {
-            let spec: WorkloadSpec = text.parse().unwrap();
-            assert_eq!(spec.to_string(), text);
-        }
-        // Params canonicalize into sorted order.
-        let spec: WorkloadSpec = "synth:scale=0.5,preset=ricc".parse().unwrap();
-        assert_eq!(spec.to_string(), "synth:preset=ricc,scale=0.5");
-    }
-
-    #[test]
-    fn rejects_malformed_specs() {
-        for text in ["", "  ", "Synth", "synth:", "synth:scale", "synth:scale="] {
-            assert!(text.parse::<WorkloadSpec>().is_err(), "{text:?} should not parse");
-        }
+    fn grammar_failures_are_workload_worded() {
         assert!(matches!("".parse::<WorkloadSpec>(), Err(WorkloadError::Empty)));
-        assert!(matches!(
-            "synth:".parse::<WorkloadSpec>(),
-            Err(WorkloadError::BadSyntax { .. })
-        ));
+        let err = "synth:".parse::<WorkloadSpec>().unwrap_err();
+        assert!(matches!(err, WorkloadError::BadSyntax { .. }));
+        assert!(
+            err.to_string().starts_with("malformed workload spec \"synth:\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1050,55 +818,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(direct, via_registry);
-    }
-
-    #[test]
-    fn shared_registry_is_built_once_and_complete() {
-        let a = WorkloadRegistry::shared();
-        let b = WorkloadRegistry::shared();
-        assert!(std::ptr::eq(a, b), "shared() must return one instance");
-        let fresh = WorkloadRegistry::default();
-        assert_eq!(a.names().collect::<Vec<_>>(), fresh.names().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn registration_extends_and_overrides() {
-        struct Custom;
-        impl WorkloadFactory for Custom {
-            fn name(&self) -> &str {
-                "custom"
-            }
-            fn summary(&self) -> &str {
-                "test-only"
-            }
-            fn conformance_specs(&self) -> Vec<WorkloadSpec> {
-                vec![WorkloadSpec::bare("custom")]
-            }
-            fn build(
-                &self,
-                _spec: &WorkloadSpec,
-                _ctx: &WorkloadContext,
-            ) -> Result<Trace, WorkloadError> {
-                let mut b = Trace::builder();
-                let org = b.org("solo", 1);
-                b.job(org, 0, 3);
-                Ok(b.build()?)
-            }
-        }
-        let mut registry = WorkloadRegistry::default();
-        assert!(registry.register(Box::new(Custom)).is_none());
-        let t = registry.build_str("custom", &ctx(0)).unwrap();
-        assert_eq!(t.n_orgs(), 1);
-        assert!(registry.register(Box::new(Custom)).is_some());
-    }
-
-    #[test]
-    fn help_mentions_every_name() {
-        let registry = WorkloadRegistry::default();
-        let help = registry.help();
-        for name in registry.names() {
-            assert!(help.contains(name), "help is missing {name}");
-        }
     }
 
     #[test]

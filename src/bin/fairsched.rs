@@ -31,6 +31,7 @@
 
 use fairsched::core::fairness::FairnessReport;
 use fairsched::core::scheduler::registry::Registry;
+use fairsched::core::spec::{self, SpecKind};
 use fairsched::core::Trace;
 use fairsched::sim::gantt::render_gantt;
 use fairsched::sim::report::{MetricRegistry, MetricSpec, Report};
@@ -91,26 +92,16 @@ output:
   --no-reference       skip the exact REF run (reference-based metrics
                        like delay/ranking then fail with a typed error)",
         default_metrics = DEFAULT_REPORT_METRICS.join(","),
-        metric_help = MetricRegistry::shared()
-            .help()
-            .lines()
-            .map(|l| format!("     {l}"))
-            .collect::<Vec<_>>()
-            .join("\n"),
-        workload_help = WorkloadRegistry::shared()
-            .help()
-            .lines()
-            .map(|l| format!("     {l}"))
-            .collect::<Vec<_>>()
-            .join("\n"),
-        registry_help = Registry::default()
-            .help()
-            .lines()
-            .map(|l| format!("     {l}"))
-            .collect::<Vec<_>>()
-            .join("\n"),
+        metric_help = indented_help(MetricRegistry::shared()),
+        workload_help = indented_help(WorkloadRegistry::shared()),
+        registry_help = indented_help(&Registry::default()),
     );
     exit(2)
+}
+
+/// A registry's help listing, indented under its option in the usage text.
+fn indented_help<K: SpecKind>(registry: &spec::Registry<K>) -> String {
+    registry.help().lines().map(|l| format!("     {l}")).collect::<Vec<_>>().join("\n")
 }
 
 /// `fairsched experiment run|status` — the durable grid runner.

@@ -78,13 +78,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! To add your own policy, implement
-//! [`core::scheduler::SchedulerFactory`] and
-//! [`core::scheduler::registry::Registry::register`] it; to add your own
-//! workload family, implement [`workloads::WorkloadFactory`] (declaring
-//! `conformance_specs`, which the workspace conformance suite exercises
-//! automatically) and [`workloads::WorkloadRegistry::register`] it — every
-//! consumer (CLI, bench tables, sessions) picks both up by spec string.
+//! To add your own policy, workload family or fairness index, implement
+//! [`core::spec::Factory`] (name, summary, parameters and the
+//! `conformance_specs` the workspace conformance suite exercises
+//! automatically) plus the axis's build trait —
+//! [`core::scheduler::SchedulerFactory`], [`workloads::WorkloadFactory`]
+//! or [`sim::MetricFactory`] — and [`core::spec::Registry::register`] it:
+//! every consumer (CLI, bench tables, sessions) picks it up by spec
+//! string.
 
 pub use coopgame;
 pub use fairsched_core as core;

@@ -7,7 +7,7 @@ use fairsched::core::fairness::FairnessReport;
 use fairsched::core::scheduler::{GeneralRefScheduler, RefScheduler};
 use fairsched::core::utility::SpUtility;
 use fairsched::core::Trace;
-use fairsched::sim::{simulate_with_options, SimOptions};
+use fairsched::sim::{run_scheduler, SimOptions};
 use fairsched::workloads::{generate, to_trace, MachineSplit, SynthConfig};
 
 fn small_trace(seed: u64) -> Trace {
@@ -93,19 +93,13 @@ fn general_ref_with_sp_is_close_to_exact_ref() {
         let trace = small_trace(seed);
         let horizon = 120;
         let mut exact = RefScheduler::new(&trace);
-        let fair = simulate_with_options(
-            &trace,
-            &mut exact,
-            SimOptions { horizon, validate: true },
-        )
-        .expect("valid run");
+        let fair =
+            run_scheduler(&trace, &mut exact, SimOptions { horizon, validate: true })
+                .expect("valid run");
         let mut general = GeneralRefScheduler::new(&trace, SpUtility);
-        let run = simulate_with_options(
-            &trace,
-            &mut general,
-            SimOptions { horizon, validate: true },
-        )
-        .expect("valid run");
+        let run =
+            run_scheduler(&trace, &mut general, SimOptions { horizon, validate: true })
+                .expect("valid run");
         let report = FairnessReport::from_schedules(
             &trace,
             &run.schedule,

@@ -9,7 +9,7 @@ use fairsched::core::scheduler::{
 };
 use fairsched::core::utility::SpUtility;
 use fairsched::core::Trace;
-use fairsched::sim::{simulate_with_options, SimOptions};
+use fairsched::sim::{run_scheduler, SimOptions};
 use fairsched::workloads::{
     generate, preset, to_trace, MachineSplit, PresetName, SynthConfig,
 };
@@ -40,12 +40,8 @@ fn every_scheduler_produces_a_valid_schedule_on_a_preset_workload() {
     let horizon = 5_000;
     let trace = preset_trace(11, horizon, 4);
     for mut s in scheduler_zoo(&trace) {
-        let r = simulate_with_options(
-            &trace,
-            s.as_mut(),
-            SimOptions { horizon, validate: true },
-        )
-        .expect("valid run");
+        let r = run_scheduler(&trace, s.as_mut(), SimOptions { horizon, validate: true })
+            .expect("valid run");
         assert!(r.started_jobs > 0, "{} started nothing", r.scheduler);
         assert!(r.utilization > 0.0 && r.utilization <= 1.0 + 1e-12);
         // psi must be consistent with the schedule's own closed form.
@@ -59,12 +55,9 @@ fn ref_is_perfectly_fair_against_itself_and_others_are_not_generally() {
     let horizon = 4_000;
     let trace = preset_trace(23, horizon, 3);
     let mut reference = RefScheduler::new(&trace);
-    let fair = simulate_with_options(
-        &trace,
-        &mut reference,
-        SimOptions { horizon, validate: true },
-    )
-    .expect("valid run");
+    let fair =
+        run_scheduler(&trace, &mut reference, SimOptions { horizon, validate: true })
+            .expect("valid run");
     let self_report =
         FairnessReport::from_schedules(&trace, &fair.schedule, &fair.schedule, horizon);
     assert_eq!(self_report.delta_psi, 0);
@@ -73,7 +66,7 @@ fn ref_is_perfectly_fair_against_itself_and_others_are_not_generally() {
     // Round robin should show measurable unfairness on a loaded workload.
     let mut rr = RoundRobinScheduler::new();
     let rr_result =
-        simulate_with_options(&trace, &mut rr, SimOptions { horizon, validate: true })
+        run_scheduler(&trace, &mut rr, SimOptions { horizon, validate: true })
             .expect("valid run");
     let rr_report = FairnessReport::from_schedules(
         &trace,
@@ -107,13 +100,9 @@ fn all_greedy_schedulers_complete_the_same_units_on_unit_jobs() {
         let values: Vec<i128> = scheduler_zoo(&trace)
             .into_iter()
             .map(|mut s| {
-                simulate_with_options(
-                    &trace,
-                    s.as_mut(),
-                    SimOptions { horizon, validate: true },
-                )
-                .expect("valid run")
-                .coalition_value()
+                run_scheduler(&trace, s.as_mut(), SimOptions { horizon, validate: true })
+                    .expect("valid run")
+                    .coalition_value()
             })
             .collect();
         for v in &values {
@@ -132,12 +121,9 @@ fn horizon_zero_and_tiny_traces_are_handled() {
     b.job(a, 0, 1);
     let trace = b.build().unwrap();
     for mut s in scheduler_zoo(&trace) {
-        let r = simulate_with_options(
-            &trace,
-            s.as_mut(),
-            SimOptions { horizon: 0, validate: true },
-        )
-        .expect("valid run");
+        let r =
+            run_scheduler(&trace, s.as_mut(), SimOptions { horizon: 0, validate: true })
+                .expect("valid run");
         assert_eq!(r.busy_time, 0, "{}", r.scheduler);
     }
 }
@@ -155,12 +141,8 @@ fn machine_heavy_and_machine_less_orgs_coexist() {
     let trace = b.build().unwrap();
     let horizon = 40;
     for mut s in scheduler_zoo(&trace) {
-        let r = simulate_with_options(
-            &trace,
-            s.as_mut(),
-            SimOptions { horizon, validate: true },
-        )
-        .expect("valid run");
+        let r = run_scheduler(&trace, s.as_mut(), SimOptions { horizon, validate: true })
+            .expect("valid run");
         assert_eq!(r.started_jobs, 6, "{} must run the guest's jobs", r.scheduler);
     }
 }

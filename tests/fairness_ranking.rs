@@ -7,7 +7,7 @@ use fairsched::core::scheduler::{
     CurrFairShareScheduler, DirectContrScheduler, FairShareScheduler, RandScheduler,
     RefScheduler, RoundRobinScheduler, Scheduler,
 };
-use fairsched::sim::simulate;
+use fairsched::sim::{run_scheduler, SimOptions};
 use fairsched::workloads::{generate, preset, to_trace, MachineSplit, PresetName};
 
 fn mean_unfairness(
@@ -25,9 +25,16 @@ fn mean_unfairness(
         let trace = to_trace(&jobs, 5, p.synth.n_machines, MachineSplit::Zipf(1.0), seed)
             .unwrap();
         let mut reference = RefScheduler::new(&trace);
-        let fair = simulate(&trace, &mut reference, horizon).expect("valid run");
+        let fair = run_scheduler(
+            &trace,
+            &mut reference,
+            SimOptions { horizon, validate: false },
+        )
+        .expect("valid run");
         let mut s = build(&trace, seed);
-        let r = simulate(&trace, s.as_mut(), horizon).expect("valid run");
+        let r =
+            run_scheduler(&trace, s.as_mut(), SimOptions { horizon, validate: false })
+                .expect("valid run");
         let report =
             FairnessReport::from_schedules(&trace, &r.schedule, &fair.schedule, horizon);
         total += report.unfairness();
@@ -83,9 +90,16 @@ fn unfairness_grows_with_horizon() {
                 to_trace(&jobs, 4, p.synth.n_machines, MachineSplit::Zipf(1.0), seed)
                     .unwrap();
             let mut reference = RefScheduler::new(&trace);
-            let fair = simulate(&trace, &mut reference, horizon).expect("valid run");
+            let fair = run_scheduler(
+                &trace,
+                &mut reference,
+                SimOptions { horizon, validate: false },
+            )
+            .expect("valid run");
             let mut s = RoundRobinScheduler::new();
-            let r = simulate(&trace, &mut s, horizon).expect("valid run");
+            let r =
+                run_scheduler(&trace, &mut s, SimOptions { horizon, validate: false })
+                    .expect("valid run");
             total += FairnessReport::from_schedules(
                 &trace,
                 &r.schedule,

@@ -4,7 +4,7 @@
 
 use fairsched::coopgame::sampling::{hoeffding_epsilon, hoeffding_permutations};
 use fairsched::core::scheduler::{RandScheduler, RefScheduler};
-use fairsched::sim::simulate;
+use fairsched::sim::{run_scheduler, SimOptions};
 use fairsched::workloads::{generate, to_trace, MachineSplit, SynthConfig};
 
 fn relative_error(k: usize, n_perms: usize, seed: u64, horizon: u64) -> f64 {
@@ -19,9 +19,13 @@ fn relative_error(k: usize, n_perms: usize, seed: u64, horizon: u64) -> f64 {
     let jobs = generate(&config, seed);
     let trace = to_trace(&jobs, k, k * 2, MachineSplit::Equal, seed).unwrap();
     let mut reference = RefScheduler::new(&trace);
-    let fair = simulate(&trace, &mut reference, horizon).expect("valid run");
+    let fair =
+        run_scheduler(&trace, &mut reference, SimOptions { horizon, validate: false })
+            .expect("valid run");
     let mut rand = RandScheduler::new(&trace, n_perms, seed ^ 0xf00d);
-    let result = simulate(&trace, &mut rand, horizon).expect("valid run");
+    let result =
+        run_scheduler(&trace, &mut rand, SimOptions { horizon, validate: false })
+            .expect("valid run");
     let norm: i128 = fair.psi.iter().sum();
     if norm == 0 {
         return 0.0;

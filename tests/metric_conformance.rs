@@ -1,23 +1,20 @@
-//! The cross-crate metric conformance suite.
+//! The metric axis's domain conformance checks.
 //!
-//! Every factory registered in a [`MetricRegistry`] — built-in or
-//! downstream — must uphold the same contract, checked here for each of
-//! the representative specs it declares via
-//! [`MetricFactory::conformance_specs`]:
+//! The common contract every factory of every axis upholds (coverage,
+//! self-selection, round trip, canonical display, typed errors) is
+//! checked once for all three registries in `tests/spec_conformance.rs`.
+//! Every metric factory — built-in or downstream — must in addition
+//! uphold, for each spec it declares via
+//! [`Factory::conformance_specs`]:
 //!
-//! 1. **coverage** — the factory declares at least one conformance spec
-//!    (one assert over registry iteration, so registering a metric
-//!    without conformance coverage fails CI);
-//! 2. **round-trip** — `parse(display(spec)) == spec`, and `display` is
-//!    canonical (re-rendering the reparsed spec is a fixpoint);
-//! 3. **determinism** — the same spec over the same context evaluates to
+//! 1. **determinism** — the same spec over the same context evaluates to
 //!    the identical column, bit for bit, across repeated evaluations;
-//! 4. **shape** — one value per organization, aggregate present;
-//! 5. **reference coherence** — a factory claiming
+//! 2. **shape** — one value per organization, aggregate present;
+//! 3. **reference coherence** — a factory claiming
 //!    [`MetricFactory::needs_reference`] fails typedly without a
 //!    reference and succeeds with one; a factory not claiming it must
 //!    evaluate without one;
-//! 6. **horizon invariance where claimed** — factories claiming
+//! 4. **horizon invariance where claimed** — factories claiming
 //!    [`MetricFactory::horizon_invariant`] must evaluate to the same
 //!    values at any horizon past the schedule's completion.
 //!
@@ -25,10 +22,11 @@
 //! plain function over any registry, demonstrated below on a registry
 //! extended with a custom fairness index.
 
+use fairsched::core::spec::Factory;
 use fairsched::core::utility::sp_vector;
 use fairsched::core::Trace;
 use fairsched::sim::report::{
-    MetricColumn, MetricContext, MetricError, MetricFactory, MetricOutput,
+    MetricColumn, MetricContext, MetricError, MetricFactory, MetricKind, MetricOutput,
     MetricRegistry, MetricSpec, MetricValue, ReferenceData,
 };
 use fairsched::sim::{SimResult, Simulation};
@@ -109,7 +107,7 @@ fn render_output(o: &MetricOutput) -> String {
     }
 }
 
-/// Runs the full conformance contract over every factory in `registry`,
+/// Runs the metric conformance checks over every factory in `registry`,
 /// returning human-readable violations (empty = conformant).
 fn conformance_violations(registry: &MetricRegistry) -> Vec<String> {
     let s = scenario();
@@ -126,43 +124,12 @@ fn conformance_violations(registry: &MetricRegistry) -> Vec<String> {
     };
 
     for (name, specs) in registry.conformance_specs() {
-        // 1. Coverage: registry iteration makes this a one-assert check.
-        if specs.is_empty() {
-            fail(&name, "<none>", "factory declares no conformance specs".into());
-            continue;
-        }
         let factory = registry.get(&name).expect("iterated name is registered");
 
         for spec in &specs {
             let label = spec.to_string();
 
-            if spec.name() != name {
-                fail(
-                    &name,
-                    &label,
-                    "conformance spec selects a different factory".into(),
-                );
-                continue;
-            }
-
-            // 2. Round-trip: parse ∘ display is the identity, display is
-            //    canonical (a fixpoint under reparsing).
-            match label.parse::<MetricSpec>() {
-                Err(e) => {
-                    fail(&name, &label, format!("display does not reparse: {e}"));
-                    continue;
-                }
-                Ok(reparsed) => {
-                    if &reparsed != spec {
-                        fail(&name, &label, "parse(display(spec)) != spec".into());
-                    }
-                    if reparsed.to_string() != label {
-                        fail(&name, &label, "display is not canonical".into());
-                    }
-                }
-            }
-
-            // 5a. Reference coherence: reference-based factories must
+            // 3a. Reference coherence: reference-based factories must
             //     fail typedly when the context has no reference.
             let bare = MetricContext {
                 trace: &s.trace,
@@ -171,7 +138,7 @@ fn conformance_violations(registry: &MetricRegistry) -> Vec<String> {
                 horizon: h1,
                 reference: None,
             };
-            match (factory.needs_reference(), registry.evaluate(spec, &bare)) {
+            match (factory.needs_reference(), registry.build(spec, &bare)) {
                 (true, Err(MetricError::NeedsReference { .. })) => {}
                 (true, other) => fail(
                     &name,
@@ -186,16 +153,16 @@ fn conformance_violations(registry: &MetricRegistry) -> Vec<String> {
                 (false, Ok(_)) => {}
             }
 
-            // 3 + 4. Determinism and shape, over the full context.
+            // 1 + 2. Determinism and shape, over the full context.
             let ctx = context_at(&s, h1, &psi_h1, &ref_h1);
-            let a = match registry.evaluate(spec, &ctx) {
+            let a = match registry.build(spec, &ctx) {
                 Ok(c) => c,
                 Err(e) => {
                     fail(&name, &label, format!("evaluation failed: {e}"));
                     continue;
                 }
             };
-            match registry.evaluate(spec, &ctx) {
+            match registry.build(spec, &ctx) {
                 Ok(b) if render_output(&a) == render_output(&b) => {}
                 Ok(_) => fail(
                     &name,
@@ -251,11 +218,11 @@ fn conformance_violations(registry: &MetricRegistry) -> Vec<String> {
                 fail(&name, &label, "output spec differs from the request".into());
             }
 
-            // 6. Horizon invariance where claimed: the schedule is fully
+            // 4. Horizon invariance where claimed: the schedule is fully
             //    complete at h1, so any later horizon must agree.
             if factory.horizon_invariant() {
                 let ctx2 = context_at(&s, h2, &psi_h2, &ref_h2);
-                match registry.evaluate(spec, &ctx2) {
+                match registry.build(spec, &ctx2) {
                     Ok(b) => {
                         if render_output(&a) != render_output(&b) {
                             fail(
@@ -330,13 +297,12 @@ fn conformance_specs_cover_every_builtin_family() {
 
 /// A downstream fairness index registered into an extended registry
 /// inherits the whole contract from the same harness function — no extra
-/// test code — and a factory registered *without* coverage is caught by
-/// the coverage gate.
+/// test code.
 #[test]
 fn downstream_factories_get_conformance_for_free() {
     /// Largest-minus-smallest ψ (a max-min fairness gap index).
     struct PsiGap;
-    impl MetricFactory for PsiGap {
+    impl Factory<MetricKind> for PsiGap {
         fn name(&self) -> &str {
             "psigap"
         }
@@ -346,6 +312,8 @@ fn downstream_factories_get_conformance_for_free() {
         fn conformance_specs(&self) -> Vec<MetricSpec> {
             vec![MetricSpec::bare("psigap")]
         }
+    }
+    impl MetricFactory for PsiGap {
         fn evaluate(
             &self,
             spec: &MetricSpec,
@@ -372,37 +340,6 @@ fn downstream_factories_get_conformance_for_free() {
         "downstream factory failed inherited conformance:\n  {}",
         violations.join("\n  ")
     );
-
-    struct NoCoverage;
-    impl MetricFactory for NoCoverage {
-        fn name(&self) -> &str {
-            "nocoverage"
-        }
-        fn summary(&self) -> &str {
-            "registers without conformance specs"
-        }
-        fn conformance_specs(&self) -> Vec<MetricSpec> {
-            Vec::new()
-        }
-        fn evaluate(
-            &self,
-            spec: &MetricSpec,
-            ctx: &MetricContext<'_>,
-        ) -> Result<MetricOutput, MetricError> {
-            Ok(MetricColumn {
-                spec: spec.clone(),
-                per_org: vec![MetricValue::Int(0); ctx.trace.n_orgs()],
-                aggregate: MetricValue::Int(0),
-            }
-            .into())
-        }
-    }
-    registry.register(Box::new(NoCoverage));
-    let violations = conformance_violations(&registry);
-    assert!(
-        violations.iter().any(|v| v.contains("no conformance specs")),
-        "missing coverage must be reported, got: {violations:?}"
-    );
 }
 
 /// Spec strings are the experiment-matrix data format; the error surface
@@ -412,23 +349,16 @@ fn registry_errors_are_typed_not_panics() {
     let registry = MetricRegistry::shared();
     let s = scenario();
     let ctx = MetricContext::from_result(&s.trace, &s.eval);
+    // (Unknown names and parameters are part of the common contract in
+    // `tests/spec_conformance.rs`.)
     assert!(matches!("".parse::<MetricSpec>(), Err(MetricError::Empty)));
     assert!(matches!("delay:".parse::<MetricSpec>(), Err(MetricError::BadSyntax { .. })));
     assert!(matches!(
-        registry.evaluate(&"atlantis".parse().unwrap(), &ctx),
-        Err(MetricError::UnknownMetric { .. })
-    ));
-    assert!(matches!(
-        // lint:allow(spec-literal) deliberately rejected parameter.
-        registry.evaluate(&"psi:warp=9".parse().unwrap(), &ctx),
-        Err(MetricError::UnknownParam { .. })
-    ));
-    assert!(matches!(
-        registry.evaluate(&"utility:kind=vibes".parse().unwrap(), &ctx),
+        registry.build(&"utility:kind=vibes".parse().unwrap(), &ctx),
         Err(MetricError::BadParam { .. })
     ));
     assert!(matches!(
-        registry.evaluate(&"delay".parse().unwrap(), &ctx),
+        registry.build(&"delay".parse().unwrap(), &ctx),
         Err(MetricError::NeedsReference { .. })
     ));
 }

@@ -21,7 +21,7 @@
 
 use fairsched::core::scheduler::{FairShareScheduler, FifoScheduler, Scheduler};
 use fairsched::core::utility::sp_vector;
-use fairsched::sim::simulate;
+use fairsched::sim::{run_scheduler, SimOptions};
 use fairsched_bench::baseline::{scale_workload, SCALE_K, SCALE_MIN_JOBS, SCALE_SEED};
 use std::time::{Duration, Instant};
 
@@ -51,8 +51,12 @@ fn million_jobs_smoke() {
     let mut schedulers: Vec<Box<dyn Scheduler>> =
         vec![Box::new(FifoScheduler::new()), Box::new(FairShareScheduler::new())];
     for scheduler in &mut schedulers {
-        let result = simulate(&trace, scheduler.as_mut(), horizon)
-            .expect("engine contract holds at scale");
+        let result = run_scheduler(
+            &trace,
+            scheduler.as_mut(),
+            SimOptions { horizon, validate: false },
+        )
+        .expect("engine contract holds at scale");
         assert_eq!(
             result.completed_jobs,
             trace.n_jobs(),

@@ -9,7 +9,7 @@ use fairsched::core::scheduler::{
 use fairsched::core::utility::{sp_vector, FlowTime, Utility};
 use fairsched::core::{OrgId, Trace};
 use fairsched::sim::exhaustive::{figure7_family, greedy_envelope};
-use fairsched::sim::simulate;
+use fairsched::sim::{run_scheduler, SimOptions};
 use fairsched::workloads::{generate, to_trace, MachineSplit, SynthConfig};
 
 /// Proposition 4.2: for equal-size jobs all completed before `t`,
@@ -32,7 +32,8 @@ fn proposition_4_2_flow_time_equivalence() {
     let mut outcomes: Vec<(i128, f64)> = Vec::new();
     for seed in 0..6 {
         let mut s = RandomScheduler::new(seed);
-        let r = simulate(&trace, &mut s, horizon).expect("valid run");
+        let r = run_scheduler(&trace, &mut s, SimOptions { horizon, validate: false })
+            .expect("valid run");
         assert_eq!(r.completed_jobs, 8);
         let psi_total: i128 = r.psi.iter().sum();
         let flow: f64 = (0..trace.n_orgs())
@@ -73,8 +74,12 @@ fn proposition_5_5_game_is_not_supermodular() {
         }
         match b.build() {
             Ok(trace) => {
-                let r =
-                    simulate(&trace, &mut FifoScheduler::new(), 2).expect("valid run");
+                let r = run_scheduler(
+                    &trace,
+                    &mut FifoScheduler::new(),
+                    SimOptions { horizon: 2, validate: false },
+                )
+                .expect("valid run");
                 r.coalition_value() as f64
             }
             Err(_) => 0.0, // no machines in this coalition
@@ -103,7 +108,9 @@ fn theorem_6_2_real_schedulers_within_bound() {
         Box::new(RandomScheduler::new(3)),
     ];
     for mut s in schedulers {
-        let r = simulate(&trace, s.as_mut(), t).expect("valid run");
+        let r =
+            run_scheduler(&trace, s.as_mut(), SimOptions { horizon: t, validate: false })
+                .expect("valid run");
         assert!(
             r.busy_time * 4 >= env.max_units * 3,
             "{} below the greedy bound",
@@ -134,7 +141,12 @@ fn figure_2_schedule_through_the_engine() {
         .job(o1, 9, 3) // J8
         .job(o1, 9, 4); // J9
     let trace = b.build().unwrap();
-    let r = simulate(&trace, &mut FifoScheduler::new(), 14).expect("valid run");
+    let r = run_scheduler(
+        &trace,
+        &mut FifoScheduler::new(),
+        SimOptions { horizon: 14, validate: false },
+    )
+    .expect("valid run");
     let psi13 = sp_vector(&trace, &r.schedule, 13);
     let psi14 = sp_vector(&trace, &r.schedule, 14);
     assert_eq!(psi13[0], 262, "O1 utility at t=13 (paper: 262)");
@@ -156,14 +168,27 @@ fn unit_jobs_completed_counts_policy_independent() {
     let jobs = generate(&config, 9);
     let trace = to_trace(&jobs, 2, 2, MachineSplit::Equal, 9).unwrap();
     for t in [10u64, 50, 100, 200] {
-        let a =
-            simulate(&trace, &mut FifoScheduler::new(), t).expect("valid run").busy_time;
-        let b = simulate(&trace, &mut RandomScheduler::new(4), t)
-            .expect("valid run")
-            .busy_time;
-        let c = simulate(&trace, &mut RoundRobinScheduler::new(), t)
-            .expect("valid run")
-            .busy_time;
+        let a = run_scheduler(
+            &trace,
+            &mut FifoScheduler::new(),
+            SimOptions { horizon: t, validate: false },
+        )
+        .expect("valid run")
+        .busy_time;
+        let b = run_scheduler(
+            &trace,
+            &mut RandomScheduler::new(4),
+            SimOptions { horizon: t, validate: false },
+        )
+        .expect("valid run")
+        .busy_time;
+        let c = run_scheduler(
+            &trace,
+            &mut RoundRobinScheduler::new(),
+            SimOptions { horizon: t, validate: false },
+        )
+        .expect("valid run")
+        .busy_time;
         assert!(a == b && b == c, "completed units diverged at t={t}: {a} {b} {c}");
     }
 }

@@ -7,7 +7,7 @@ use fairsched::core::scheduler::{
     UtFairShareScheduler,
 };
 use fairsched::core::{OrgId, Trace};
-use fairsched::sim::{simulate_with_options, SimOptions};
+use fairsched::sim::{run_scheduler, SimOptions};
 use proptest::prelude::*;
 
 /// Random small trace: 2–4 orgs, 1–3 machines each, up to 14 jobs.
@@ -54,7 +54,7 @@ proptest! {
     fn prop_all_schedulers_valid_on_random_traces(trace in arb_trace()) {
         let horizon = trace.completion_horizon();
         for mut s in zoo(&trace) {
-            let r = simulate_with_options(
+            let r = run_scheduler(
                 &trace,
                 s.as_mut(),
                 SimOptions { horizon, validate: true },
@@ -72,7 +72,7 @@ proptest! {
         let horizon = trace.completion_horizon();
         let run = || {
             let mut s = RefScheduler::new(&trace);
-            simulate_with_options(&trace, &mut s, SimOptions { horizon, validate: false }).expect("valid run")
+            run_scheduler(&trace, &mut s, SimOptions { horizon, validate: false }).expect("valid run")
                 .schedule
         };
         let (a, b) = (run(), run());
@@ -84,7 +84,7 @@ proptest! {
     fn prop_value_monotone_in_horizon(trace in arb_trace()) {
         let full = trace.completion_horizon();
         let mut s = FairShareScheduler::new();
-        let r = simulate_with_options(&trace, &mut s, SimOptions { horizon: full, validate: false }).expect("valid run");
+        let r = run_scheduler(&trace, &mut s, SimOptions { horizon: full, validate: false }).expect("valid run");
         let mut last = -1i128;
         for t in [0, full / 4, full / 2, full] {
             let v: i128 = fairsched::core::utility::sp_vector(&trace, &r.schedule, t)
@@ -102,7 +102,7 @@ proptest! {
     fn prop_ref_trackers_match_engine(trace in arb_trace()) {
         let horizon = trace.completion_horizon().min(200);
         let mut s = RefScheduler::new(&trace);
-        let r = simulate_with_options(&trace, &mut s, SimOptions { horizon, validate: false }).expect("valid run");
+        let r = run_scheduler(&trace, &mut s, SimOptions { horizon, validate: false }).expect("valid run");
         prop_assert_eq!(s.psi(horizon), r.psi);
     }
 
@@ -112,7 +112,7 @@ proptest! {
     fn prop_ref_contributions_efficient(trace in arb_trace()) {
         let horizon = trace.completion_horizon().min(150);
         let mut s = RefScheduler::new(&trace);
-        let r = simulate_with_options(&trace, &mut s, SimOptions { horizon, validate: false }).expect("valid run");
+        let r = run_scheduler(&trace, &mut s, SimOptions { horizon, validate: false }).expect("valid run");
         let phi = s.contributions(horizon);
         let total_phi: f64 = phi.iter().sum();
         let v: i128 = r.psi.iter().sum();

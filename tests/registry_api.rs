@@ -19,7 +19,8 @@ fn small_trace() -> Trace {
 }
 
 /// The paper's Table 1/2 algorithm set plus baselines, as spec strings —
-/// the acceptance surface: each must be constructible from a string.
+/// the acceptance surface: each must be constructible from a string, and
+/// together they are the built-in factories' conformance specs.
 const PAPER_SPECS: [&str; 12] = [
     "ref",
     "general-ref:util=sp",
@@ -47,13 +48,23 @@ fn every_paper_scheduler_builds_from_its_string() {
             .build(&spec, &BuildContext { trace: &trace, seed: 1 })
             .unwrap_or_else(|e| panic!("paper spec {text:?} failed to build: {e}"));
     }
+    let mut declared: Vec<String> = registry
+        .conformance_specs()
+        .into_iter()
+        .flat_map(|(_, specs)| specs)
+        .map(|spec| spec.to_string())
+        .collect();
+    let mut paper = PAPER_SPECS.map(str::to_string).to_vec();
+    declared.sort();
+    paper.sort();
+    assert_eq!(declared, paper, "built-in conformance specs drifted from the paper set");
 }
 
 #[test]
 fn every_registered_spec_round_trips_builds_and_runs() {
     let trace = small_trace();
     let registry = Registry::default();
-    let specs = registry.default_specs();
+    let specs: Vec<SchedulerSpec> = registry.names().map(SchedulerSpec::bare).collect();
     assert!(specs.len() >= 10, "registry lost factories: {specs:?}");
     for spec in &specs {
         // FromStr ∘ Display is the identity.
@@ -80,7 +91,7 @@ fn matrix_covers_the_whole_registry() {
     let registry = Registry::default();
     let results = Simulation::new(&trace)
         .horizon(60)
-        .run_matrix(&registry.default_specs())
+        .run_matrix(&registry.names().map(SchedulerSpec::bare).collect::<Vec<_>>())
         .expect("full-registry matrix");
     assert_eq!(results.len(), registry.names().count());
 }

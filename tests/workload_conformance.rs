@@ -1,21 +1,18 @@
-//! The cross-crate workload conformance suite.
+//! The workload axis's domain conformance checks.
 //!
-//! Every factory registered in a [`WorkloadRegistry`] — built-in or
-//! downstream — must uphold the same contract, checked here for each of
-//! the representative specs it declares via
-//! [`WorkloadFactory::conformance_specs`]:
+//! The common contract every factory of every axis upholds (coverage,
+//! self-selection, round trip, canonical display, typed errors) is
+//! checked once for all three registries in `tests/spec_conformance.rs`.
+//! Every workload factory — built-in or downstream — must in addition
+//! uphold, for each spec it declares via
+//! [`Factory::conformance_specs`]:
 //!
-//! 1. **coverage** — the factory declares at least one conformance spec
-//!    (one assert over registry iteration, so registering a workload
-//!    without conformance coverage fails CI);
-//! 2. **round-trip** — `parse(display(spec)) == spec`, and `display` is
-//!    canonical (re-rendering the reparsed spec is a fixpoint);
-//! 3. **determinism** — the same spec + seed builds the identical
+//! 1. **determinism** — the same spec + seed builds the identical
 //!    [`Trace`], byte for byte, across repeated builds;
-//! 4. **seed sensitivity** — different seeds produce different traces
+//! 2. **seed sensitivity** — different seeds produce different traces
 //!    (unless the factory opts out via
 //!    [`WorkloadFactory::seed_sensitive`]);
-//! 5. **trace validity** — the built trace passes every model invariant
+//! 3. **trace validity** — the built trace passes every model invariant
 //!    (sorted releases, contiguous ids, machines present), is non-empty,
 //!    and honors the spec's own structural parameters (`orgs`/`k` counts,
 //!    `split=equal` balance, the one-machine-per-organization floor).
@@ -24,9 +21,11 @@
 //! plain function over any registry, demonstrated below on a registry
 //! extended with a custom factory.
 
+use fairsched::core::spec::Factory;
 use fairsched::core::Trace;
 use fairsched::workloads::spec::{
-    WorkloadContext, WorkloadError, WorkloadFactory, WorkloadRegistry, WorkloadSpec,
+    WorkloadContext, WorkloadError, WorkloadFactory, WorkloadKind, WorkloadRegistry,
+    WorkloadSpec,
 };
 
 /// Seeds used for determinism/sensitivity probing (fixed, so the suite is
@@ -41,8 +40,8 @@ fn build(
     registry.build(spec, &WorkloadContext { seed })
 }
 
-/// Runs the full conformance contract over every factory in `registry`,
-/// returning human-readable violations (empty = conformant).
+/// Runs the workload conformance checks over every factory in
+/// `registry`, returning human-readable violations (empty = conformant).
 fn conformance_violations(registry: &WorkloadRegistry) -> Vec<String> {
     let mut violations = Vec::new();
     let mut fail = |name: &str, spec: &str, what: String| {
@@ -50,43 +49,12 @@ fn conformance_violations(registry: &WorkloadRegistry) -> Vec<String> {
     };
 
     for (name, specs) in registry.conformance_specs() {
-        // 1. Coverage: registry iteration makes this a one-assert check.
-        if specs.is_empty() {
-            fail(&name, "<none>", "factory declares no conformance specs".into());
-            continue;
-        }
         let factory = registry.get(&name).expect("iterated name is registered");
 
         for spec in &specs {
             let label = spec.to_string();
 
-            if spec.name() != name {
-                fail(
-                    &name,
-                    &label,
-                    "conformance spec selects a different factory".into(),
-                );
-                continue;
-            }
-
-            // 2. Round-trip: parse ∘ display is the identity, display is
-            //    canonical (a fixpoint under reparsing).
-            match label.parse::<WorkloadSpec>() {
-                Err(e) => {
-                    fail(&name, &label, format!("display does not reparse: {e}"));
-                    continue;
-                }
-                Ok(reparsed) => {
-                    if &reparsed != spec {
-                        fail(&name, &label, "parse(display(spec)) != spec".into());
-                    }
-                    if reparsed.to_string() != label {
-                        fail(&name, &label, "display is not canonical".into());
-                    }
-                }
-            }
-
-            // 3. Determinism: same spec + seed ⇒ identical trace.
+            // 1. Determinism: same spec + seed ⇒ identical trace.
             let mut traces = Vec::new();
             for &seed in &SEEDS {
                 match (build(registry, spec, seed), build(registry, spec, seed)) {
@@ -111,7 +79,7 @@ fn conformance_violations(registry: &WorkloadRegistry) -> Vec<String> {
                 continue;
             }
 
-            // 4. Seed sensitivity (opt-out via `seed_sensitive`).
+            // 2. Seed sensitivity (opt-out via `seed_sensitive`).
             if factory.seed_sensitive() {
                 let base = &traces[0].1;
                 if traces[1..].iter().all(|(_, t)| t == base) {
@@ -123,7 +91,7 @@ fn conformance_violations(registry: &WorkloadRegistry) -> Vec<String> {
                 }
             }
 
-            // 5. Trace validity + structural agreement with the spec.
+            // 3. Trace validity + structural agreement with the spec.
             for (seed, trace) in &traces {
                 if let Err(e) = trace.validate() {
                     fail(&name, &label, format!("seed {seed}: invalid trace: {e}"));
@@ -233,7 +201,7 @@ fn conformance_specs_cover_every_builtin_family() {
 #[test]
 fn downstream_factories_get_conformance_for_free() {
     struct Sawtooth;
-    impl WorkloadFactory for Sawtooth {
+    impl Factory<WorkloadKind> for Sawtooth {
         fn name(&self) -> &str {
             "sawtooth"
         }
@@ -250,6 +218,8 @@ fn downstream_factories_get_conformance_for_free() {
                 "sawtooth:jobs=7,orgs=2".parse().unwrap(),
             ]
         }
+    }
+    impl WorkloadFactory for Sawtooth {
         fn build(
             &self,
             spec: &WorkloadSpec,
@@ -280,56 +250,20 @@ fn downstream_factories_get_conformance_for_free() {
         "downstream factory failed inherited conformance:\n  {}",
         violations.join("\n  ")
     );
-    // And a *broken* downstream factory is caught by the same harness.
-    struct NoCoverage;
-    impl WorkloadFactory for NoCoverage {
-        fn name(&self) -> &str {
-            "nocoverage"
-        }
-        fn summary(&self) -> &str {
-            "registers without conformance specs"
-        }
-        fn conformance_specs(&self) -> Vec<WorkloadSpec> {
-            Vec::new()
-        }
-        fn build(
-            &self,
-            _spec: &WorkloadSpec,
-            _ctx: &WorkloadContext,
-        ) -> Result<Trace, WorkloadError> {
-            let mut b = Trace::builder();
-            let o = b.org("x", 1);
-            b.job(o, 0, 1);
-            Ok(b.build()?)
-        }
-    }
-    registry.register(Box::new(NoCoverage));
-    let violations = conformance_violations(&registry);
-    assert!(
-        violations.iter().any(|v| v.contains("no conformance specs")),
-        "missing coverage must be reported, got: {violations:?}"
-    );
 }
 
 /// Spec strings are the experiment-matrix data format; the error surface
 /// must stay typed end to end (no panics) for matrix tooling to collect.
 #[test]
 fn registry_errors_are_typed_not_panics() {
+    // (Unknown names and parameters are part of the common contract in
+    // `tests/spec_conformance.rs`.)
     let registry = WorkloadRegistry::shared();
     let ctx = WorkloadContext { seed: 0 };
     assert!(matches!(registry.build_str("", &ctx), Err(WorkloadError::Empty)));
     assert!(matches!(
         registry.build_str("synth:", &ctx),
         Err(WorkloadError::BadSyntax { .. })
-    ));
-    assert!(matches!(
-        registry.build_str("atlantis", &ctx),
-        Err(WorkloadError::UnknownWorkload { .. })
-    ));
-    assert!(matches!(
-        // lint:allow(spec-literal) deliberately rejected parameter.
-        registry.build_str("synth:warp=9", &ctx),
-        Err(WorkloadError::UnknownParam { .. })
     ));
     assert!(matches!(
         registry.build_str("fpt:k=-3", &ctx),
