@@ -37,6 +37,7 @@
 //! micro-level numbers; CI's `bench-smoke` job runs both and uploads the
 //! JSON as an artifact.
 
+use fairsched_core::journal::atomic_write;
 use fairsched_core::scheduler::lattice::LatticeStats;
 use fairsched_core::scheduler::{
     FairShareScheduler, FifoScheduler, RandScheduler, RefScheduler, Scheduler,
@@ -47,6 +48,7 @@ use fairsched_experiment::{ExperimentSpec, Runner, RunnerOptions, SeedPlan};
 use fairsched_serve::{Daemon, Message, ServeConfig, SubmissionQueue};
 use fairsched_sim::{run_scheduler, MetricSpec, SimOptions, SimResult, SimSession};
 use fairsched_workloads::spec::{fpt_spec, WorkloadContext, WorkloadRegistry};
+use fairsched_workloads::swf::{self, SwfJob};
 use fairsched_workloads::{
     generate, synth_spec, to_trace, MachineSplit, PresetName, SynthConfig,
 };
@@ -218,22 +220,75 @@ pub const SCALE_SEED: u64 = 7;
 /// trace layout, the streaming ψ sweep, and the O(n + k) per-org index at
 /// the scale the quadratic paths they replaced could not reach.
 pub fn scale_workload(seed: u64) -> Trace {
-    let config = SynthConfig {
-        n_users: 2_000,
-        horizon: 26_000,
-        n_machines: 4 * SCALE_K,
-        load: 0.95,
-        duration_median: 6.0,
-        duration_sigma: 1.0,
-        max_duration: 50,
-        user_zipf: 1.1,
-        session_jobs: 8.0,
-        intra_session_gap: 2.0,
-    };
-    let jobs = generate(&config, seed);
+    let jobs = generate(&SCALE_CONFIG, seed);
     // lint:allow(panic-free) generator output over a 1-machine-floor split is always valid
-    to_trace(&jobs, SCALE_K, config.n_machines, MachineSplit::Zipf(1.0), seed)
+    to_trace(&jobs, SCALE_K, SCALE_CONFIG.n_machines, MachineSplit::Zipf(1.0), seed)
         .expect("scale workload builds")
+}
+
+/// The generator configuration of [`scale_workload`].
+const SCALE_CONFIG: SynthConfig = SynthConfig {
+    n_users: 2_000,
+    horizon: 26_000,
+    n_machines: 4 * SCALE_K,
+    load: 0.95,
+    duration_median: 6.0,
+    duration_sigma: 1.0,
+    max_duration: 50,
+    user_zipf: 1.1,
+    session_jobs: 8.0,
+    intra_session_gap: 2.0,
+};
+
+/// Times archive-log ingest at the scale tier: [`swf::stream_trace`]
+/// replaying the tier's generator output, rendered once with
+/// [`swf::write`] (one single-processor record per job) to a temporary
+/// file. The replayed trace must equal `expected`, the tier's own trace,
+/// so the row times ingest of exactly what the other `scale/` rows
+/// schedule. `engine_events` counts records.
+fn run_swf_ingest(samples: usize, expected: &Trace) -> CaseResult {
+    let records: Vec<SwfJob> = generate(&SCALE_CONFIG, SCALE_SEED)
+        .iter()
+        .enumerate()
+        .map(|(i, j)| SwfJob {
+            job_number: i as i64 + 1,
+            submit: j.release,
+            runtime: j.proc_time,
+            processors: 1,
+            user: j.user,
+        })
+        .collect();
+    let path = std::env::temp_dir()
+        .join(format!("fairsched-bench-swf-ingest-{}.swf", std::process::id()));
+    // lint:allow(panic-free) a fresh file in the temp directory; a failure is a bug worth stopping the bench for
+    atomic_write(&path, &swf::write(&records)).expect("SWF log writes");
+    let path_text = path.to_string_lossy();
+    let replay = || {
+        let split = MachineSplit::Zipf(1.0);
+        let (n_machines, seed) = (SCALE_CONFIG.n_machines, SCALE_SEED);
+        swf::stream_trace(&path_text, 0, u64::MAX, SCALE_K, n_machines, split, seed)
+    };
+    // lint:allow(panic-free) the log was written a line above by the same codec
+    let (trace, _) = replay().expect("scale log replays");
+    assert_eq!(&trace, expected, "SWF replay diverged from the scale workload");
+    let (min, mean) = timed(samples, || {
+        std::hint::black_box(replay().ok());
+    });
+    let _ = std::fs::remove_file(&path);
+    let events = records.len() as u64;
+    CaseResult {
+        name: format!("scale/swf_ingest/k={SCALE_K}"),
+        scheduler: "swf-stream".to_string(),
+        k: SCALE_K,
+        n_jobs: trace.n_jobs(),
+        horizon: trace.completion_horizon(),
+        samples: samples.max(1),
+        wall_ns_min: min,
+        wall_ns_mean: mean,
+        engine_events: events,
+        events_per_sec: events as f64 / (min as f64 / 1e9),
+        lattice: None,
+    }
 }
 
 /// Measures the scale tier: trace construction itself (one `scale/build`
@@ -269,6 +324,7 @@ fn run_scale(samples: usize) -> Vec<CaseResult> {
         events_per_sec: n as f64 / (build_min as f64 / 1e9),
         lattice: None,
     }];
+    out.push(run_swf_ingest(build_samples, &trace));
     let s = samples.clamp(1, 2);
     out.push(measure(
         &format!("scale/fifo/k={SCALE_K}"),
@@ -307,11 +363,16 @@ fn timed(samples: usize, mut run: impl FnMut()) -> (u64, u64) {
     (min as u64, (total / samples as u128) as u64)
 }
 
-/// Bytes each `json/` sample pushes through the codec, whatever the
+/// Bytes each `json/parse` sample pushes through the codec, whatever the
 /// document size: small documents are processed more often, so every row
 /// clears [`COMPARE_FLOOR_NS`] and `wall_ns_min / engine_events` is ns per
 /// byte on each.
 const JSON_BYTES_PER_SAMPLE: usize = 8 << 20;
+
+/// Bytes each `json/render_pretty` sample renders: rendering costs about
+/// a fifth of parsing per byte, so it needs more bytes to clear
+/// [`COMPARE_FLOOR_NS`] by the same margin.
+const RENDER_BYTES_PER_SAMPLE: usize = 4 * JSON_BYTES_PER_SAMPLE;
 
 /// A string-heavy document of at least `bytes` bytes of compact JSON, in
 /// the shape of what the durable tiers store: an array of small records
@@ -335,8 +396,8 @@ fn json_document(bytes: usize) -> serde::Value {
 /// parser is linear in document size) and `json/render_pretty/1m`.
 /// `engine_events` counts bytes of JSON text processed per sample.
 fn run_json_codec(samples: usize) -> Vec<CaseResult> {
-    let case = |name: &str, doc_bytes: usize, run: &mut dyn FnMut()| {
-        let reps = JSON_BYTES_PER_SAMPLE / doc_bytes;
+    let case = |name: &str, doc_bytes: usize, budget: usize, run: &mut dyn FnMut()| {
+        let reps = budget / doc_bytes;
         let (min, mean) = timed(samples, || (0..reps).for_each(|_| run()));
         let bytes = (reps * doc_bytes) as u64;
         CaseResult {
@@ -356,16 +417,22 @@ fn run_json_codec(samples: usize) -> Vec<CaseResult> {
     let mut out = Vec::new();
     for (label, size) in [("64k", 64 << 10), ("1m", 1 << 20)] {
         let text = json_document(size).to_json();
-        out.push(case(&format!("json/parse/{label}"), text.len(), &mut || {
+        let name = format!("json/parse/{label}");
+        out.push(case(&name, text.len(), JSON_BYTES_PER_SAMPLE, &mut || {
             // lint:allow(panic-free) the document was rendered by this codec a line above
             std::hint::black_box(serde_json::parse_value(&text).expect("own rendering"));
         }));
     }
     let doc = json_document(1 << 20);
     let pretty_bytes = doc.to_json_pretty().len();
-    out.push(case("json/render_pretty/1m", pretty_bytes, &mut || {
-        std::hint::black_box(doc.to_json_pretty());
-    }));
+    out.push(case(
+        "json/render_pretty/1m",
+        pretty_bytes,
+        RENDER_BYTES_PER_SAMPLE,
+        &mut || {
+            std::hint::black_box(doc.to_json_pretty());
+        },
+    ));
     out
 }
 

@@ -638,6 +638,19 @@ impl TraceBuilder {
         self.jobs.len()
     }
 
+    /// Rewrites every job's organization `o` to `map[o]`, for ingestion
+    /// that files jobs under provisional ids (one per user, say) before the
+    /// final organizations are known. Job order is unchanged.
+    ///
+    /// # Panics
+    /// Panics if a job's organization is not an index into `map`.
+    pub fn remap_orgs(&mut self, map: &[OrgId]) -> &mut Self {
+        for job in &mut self.jobs {
+            job.0 = map[job.0.index()];
+        }
+        self
+    }
+
     /// Finalizes the trace: stable-sorts by release time, assigns ids and
     /// validates.
     pub fn build(mut self) -> Result<Trace, TraceError> {
@@ -696,6 +709,19 @@ mod tests {
         assert_eq!(t.jobs().get(0).unwrap().proc_time, 10);
         assert_eq!(t.jobs().get(1).unwrap().proc_time, 20);
         assert!(t.jobs().get(2).is_none());
+    }
+
+    #[test]
+    fn remap_orgs_rewrites_provisional_ids_in_place() {
+        let mut b = Trace::builder();
+        let a = b.org("alpha", 1);
+        let c = b.org("beta", 1);
+        // Provisional ids 0..3 (say, users) fold onto the two real orgs.
+        b.job(OrgId(2), 4, 1).job(OrgId(0), 1, 2).job(OrgId(1), 4, 3);
+        b.remap_orgs(&[c, a, c]);
+        let t = b.build().unwrap();
+        assert_eq!(t.job_orgs(), &[c, c, a]);
+        assert_eq!(t.proc_times(), &[2, 1, 3], "stable order by release kept");
     }
 
     #[test]

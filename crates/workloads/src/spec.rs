@@ -339,6 +339,47 @@ pub fn write_trace_json(
         .map_err(|e| std::io::Error::other(e.to_string()))
 }
 
+/// Replays an `swf:` spec: validates its parameters, then streams the log
+/// once ([`swf::stream_trace`]) into the trace and the whole log's
+/// [`swf::SwfStats`]. The `swf` factory and `fairsched --swf` both go
+/// through here, so they accept, reject and word errors alike.
+pub fn swf_replay(
+    spec: &WorkloadSpec,
+    ctx: &WorkloadContext,
+) -> Result<(Trace, swf::SwfStats), WorkloadError> {
+    let path = spec.required("path")?;
+    let start = spec.parsed("start", 0u64)?;
+    let end = spec.parsed("end", Time::MAX)?;
+    if start >= end {
+        return Err(spec.bad_param("end", "window end must exceed start"));
+    }
+    let machines = spec.parsed("machines", 64usize)?;
+    let orgs = spec.parsed("orgs", 5usize)?;
+    if orgs == 0 {
+        return Err(spec.bad_param("orgs", "need at least one organization"));
+    }
+    if machines < orgs {
+        return Err(spec.bad_param(
+            "machines",
+            format!("need at least one machine per organization ({orgs})"),
+        ));
+    }
+    let split = split_from_spec(spec)?;
+    swf::stream_trace(path, start, end, orgs, machines, split, ctx.seed).map_err(|e| {
+        match e {
+            swf::SwfStreamError::Io { path, message } => {
+                WorkloadError::Io { path, message }
+            }
+            swf::SwfStreamError::Parse(e) => WorkloadError::from(e),
+            swf::SwfStreamError::EmptyWindow => spec.bad_param(
+                "path",
+                format!("submit window [{start}, {end}) selects no jobs"),
+            ),
+            swf::SwfStreamError::Trace(e) => WorkloadError::from(e),
+        }
+    })
+}
+
 fn synth_conformance() -> Vec<WorkloadSpec> {
     vec![
         "synth:horizon=1500,orgs=3,preset=lpc,scale=0.08".parse().unwrap(),
@@ -496,42 +537,7 @@ impl SpecKind for WorkloadKind {
             "replay a Standard Workload Format archive log",
             &["path", "start", "end", "machines", "orgs", "split", "zipf"],
             swf_conformance,
-            |spec, ctx| {
-                let path = spec.required("path")?.to_string();
-                let start = spec.parsed("start", 0u64)?;
-                let end = spec.parsed("end", Time::MAX)?;
-                if start >= end {
-                    return Err(spec.bad_param("end", "window end must exceed start"));
-                }
-                let machines = spec.parsed("machines", 64usize)?;
-                let orgs = spec.parsed("orgs", 5usize)?;
-                if orgs == 0 {
-                    return Err(spec.bad_param("orgs", "need at least one organization"));
-                }
-                if machines < orgs {
-                    return Err(spec.bad_param(
-                        "machines",
-                        format!("need at least one machine per organization ({orgs})"),
-                    ));
-                }
-                let split = split_from_spec(spec)?;
-                // Streaming ingestion: two passes over the file, never a
-                // materialized `Vec<SwfJob>`/`Vec<UserJob>`. Produces the
-                // identical trace to the old parse → to_user_jobs →
-                // to_trace pipeline (pinned by a test in `swf`).
-                swf::stream_trace(&path, start, end, orgs, machines, split, ctx.seed)
-                    .map_err(|e| match e {
-                        swf::SwfStreamError::Io { path, message } => {
-                            WorkloadError::Io { path, message }
-                        }
-                        swf::SwfStreamError::Parse(e) => WorkloadError::from(e),
-                        swf::SwfStreamError::EmptyWindow => spec.bad_param(
-                            "path",
-                            format!("submit window [{start}, {end}) selects no jobs"),
-                        ),
-                        swf::SwfStreamError::Trace(e) => WorkloadError::from(e),
-                    })
-            },
+            |spec, ctx| swf_replay(spec, ctx).map(|(trace, _)| trace),
         );
         register_fn(
             r,

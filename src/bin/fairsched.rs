@@ -36,9 +36,9 @@ use fairsched::core::Trace;
 use fairsched::sim::gantt::render_gantt;
 use fairsched::sim::report::{MetricRegistry, MetricSpec, Report};
 use fairsched::sim::{Simulation, DEFAULT_REPORT_METRICS};
+use fairsched::workloads::spec::swf_replay;
 use fairsched::workloads::{
-    swf, synth_spec, MachineSplit, PresetName, WorkloadContext, WorkloadRegistry,
-    WorkloadSpec,
+    synth_spec, MachineSplit, PresetName, WorkloadContext, WorkloadRegistry, WorkloadSpec,
 };
 use serde::Value;
 use std::collections::HashMap;
@@ -479,11 +479,11 @@ fn main() {
 
     // Resolve the workload flags into one registry spec: `--workload` is
     // used verbatim; `--preset` and `--swf` are sugar for `synth:` /
-    // `swf:` specs. Either way the trace is built through the shared
-    // workload registry — the same path the bench tables and sessions use.
-    let (workload_spec, source): (WorkloadSpec, String) = if let Some(raw) =
-        opts.get("workload")
-    {
+    // `swf:` specs. The trace is built through the shared workload
+    // registry — the same path the bench tables and sessions use — except
+    // under `--swf`, which calls the `swf` factory's replay directly for
+    // the log summary that comes out of the same single pass.
+    let (workload_spec, source, replayed) = if let Some(raw) = opts.get("workload") {
         // The classic workload flags only parameterize the --preset/--swf
         // sugar; with a full spec they would be silently contradicted, so
         // say which ones are being ignored.
@@ -504,23 +504,8 @@ fn main() {
             exit(1)
         });
         let source = spec.to_string();
-        (spec, source)
+        (spec, source, None)
     } else if let Some(path) = opts.get("swf") {
-        // Parse once up front for the summary line (the registry will
-        // re-read the file; CLI startup cost, not a hot path).
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1)
-        });
-        let records = swf::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(1)
-        });
-        let stats = swf::stats(&records);
-        eprintln!(
-            "parsed {} jobs / {} users, span {}, median runtime {}",
-            stats.jobs, stats.users, stats.span, stats.runtime_percentiles.1
-        );
         let start: u64 = get("window-start", "0").parse().unwrap_or_else(|_| usage());
         let machines: usize = get("machines", "64").parse().unwrap_or_else(|_| usage());
         if path.contains([',', '=']) {
@@ -536,21 +521,33 @@ fn main() {
         if matches!(split, MachineSplit::Uniform) {
             spec = spec.with("split", "uniform");
         }
-        (spec, format!("SWF {path}"))
+        let (trace, stats) =
+            swf_replay(&spec, &WorkloadContext { seed }).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                exit(1)
+            });
+        eprintln!(
+            "parsed {} jobs / {} users, span {}, median runtime {}",
+            stats.jobs, stats.users, stats.span, stats.runtime_percentiles.1
+        );
+        (spec, format!("SWF {path}"), Some(trace))
     } else {
         let name = PresetName::parse(&get("preset", "lpc")).unwrap_or_else(|| usage());
         let scale: f64 = get("scale", "0.1").parse().unwrap_or_else(|_| usage());
         (
             synth_spec(name, scale, orgs, split, horizon),
             format!("{} (synthetic, scale {scale})", name.label()),
+            None,
         )
     };
-    let trace: Trace = WorkloadRegistry::shared()
-        .build(&workload_spec, &WorkloadContext { seed })
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(1)
-        });
+    let trace: Trace = replayed.unwrap_or_else(|| {
+        WorkloadRegistry::shared()
+            .build(&workload_spec, &WorkloadContext { seed })
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                exit(1)
+            })
+    });
 
     // The requested fairness metrics: a comma-separated list of metric
     // registry specs (multi-parameter specs survive the outer split).
