@@ -7,6 +7,8 @@
 //!   schema's load-bearing keys (`workload_spec`, `scheduler_spec`,
 //!   `metric_specs`, `orgs`, `aggregates`), with `orgs` entries holding
 //!   `name` + `metrics`;
+//! * `tests/golden/bench/*.json` (bench tables and trajectories) must
+//!   parse;
 //! * `tests/golden/workloads/*.txt` must open with a `spec=` header and
 //!   list at least one `org=` line;
 //! * `tests/golden/*.txt` (schedule goldens) must open with `scheduler=`
