@@ -16,7 +16,9 @@
 use fairsched_bench::cli::Cli;
 use fairsched_bench::parallel::parallel_map;
 use fairsched_core::fairness::FairnessReport;
-use fairsched_core::scheduler::{DirectContrScheduler, RefScheduler, Scheduler};
+use fairsched_core::scheduler::{
+    DirectContrScheduler, RefScheduler, Scheduler, SchedulerSpec,
+};
 use fairsched_core::Trace;
 use fairsched_sim::Simulation;
 use fairsched_workloads::{
@@ -47,13 +49,13 @@ fn run_block(
     println!("{:<26}{:>14}{:>14}", "variant", "mean Δψ/p_tot", "max Δψ/p_tot");
     for (name, build) in &variants() {
         let values: Vec<f64> = parallel_map((0..instances as u64).collect(), |i| {
-            let seed = base_seed + i;
+            let seed = base_seed.wrapping_add(i);
             let trace = make_trace(seed);
-            let session = Simulation::new(&trace).horizon(horizon);
-            let fair = session
-                .run_matrix(&["ref".parse().expect("spec")])
-                .expect("REF reference")
-                .remove(0);
+            let fair = Simulation::new(&trace)
+                .scheduler_spec(SchedulerSpec::bare("ref"))
+                .horizon(horizon)
+                .run()
+                .expect("REF reference");
             // The bump-off variants are deliberately not registry specs —
             // they exist only for this ablation — so they go through the
             // session's instance escape hatch.

@@ -47,21 +47,20 @@ fn main() {
     let mut last_mean = f64::INFINITY;
     for n_perms in [1usize, 3, 15, 75, 300] {
         let errors: Vec<f64> = parallel_map((0..instances as u64).collect(), |i| {
-            let inst_seed = seed + i;
+            let inst_seed = seed.wrapping_add(i);
             let jobs = fairsched_workloads::generate(&config, inst_seed);
             let trace =
                 to_trace(&jobs, k, machines, MachineSplit::Equal, inst_seed).unwrap();
-            let specs: [SchedulerSpec; 2] = [
-                SchedulerSpec::bare("ref"),
-                SchedulerSpec::bare("rand").with("perms", n_perms),
-            ];
-            let mut runs = Simulation::new(&trace)
-                .horizon(horizon)
-                .seed(inst_seed ^ 0xabcd)
-                .run_matrix(&specs)
-                .expect("FPRAS instance runs");
-            let result = runs.remove(1);
-            let ref_result = runs.remove(0);
+            let run = |spec| {
+                Simulation::new(&trace)
+                    .scheduler_spec(spec)
+                    .horizon(horizon)
+                    .seed(inst_seed ^ 0xabcd)
+                    .run()
+                    .expect("FPRAS instance runs")
+            };
+            let ref_result = run(SchedulerSpec::bare("ref"));
+            let result = run(SchedulerSpec::bare("rand").with("perms", n_perms));
             let norm: i128 = ref_result.psi.iter().map(|v| v.abs()).sum();
             if norm == 0 {
                 return 0.0;

@@ -15,6 +15,12 @@
 //! | `bench_baseline` | `BENCH_lattice.json` — the tracked lattice perf baseline (see [`baseline`]) |
 //!
 //! Run e.g. `cargo run -p fairsched-bench --release --bin table1 -- --help`.
+//!
+//! The delay tables go through [`runner`]: an experiment's seeded
+//! instances fan out over [`parallel::parallel_map`], the workspace's one
+//! thread pool, and each instance is one serial
+//! [`Simulation::run_matrix_reports`](fairsched_sim::Simulation::run_matrix_reports)
+//! row (the REF reference runs once per instance).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

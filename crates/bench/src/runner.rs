@@ -6,20 +6,11 @@ use fairsched_core::scheduler::registry::{
     BuildContext, Registry, SchedulerSpec, SpecError,
 };
 use fairsched_core::scheduler::Scheduler;
-use fairsched_sim::report::{LabeledStat, MetricSpec, Report};
+use fairsched_sim::report::{LabeledStat, MetricSpec};
 use fairsched_sim::{SimError, Simulation};
 use fairsched_workloads::spec::{WorkloadContext, WorkloadRegistry, WorkloadSpec};
 use fairsched_workloads::PresetName;
 use std::fmt;
-
-/// The shared default scheduler registry that [`Algo`] and the experiment
-/// runners resolve through unless a custom registry is supplied via
-/// [`run_delay_experiment_with_registry`] — now the process-wide
-/// [`Registry::shared`] instance (one build per process, shared with
-/// `Simulation` sessions).
-pub fn registry() -> &'static Registry {
-    Registry::shared()
-}
 
 /// An evaluated algorithm: a thin wrapper over a scheduler-registry
 /// [`SchedulerSpec`].
@@ -28,10 +19,10 @@ pub fn registry() -> &'static Registry {
 /// labels); [`Algo::Spec`] admits *any* registry spec string, so growing
 /// an experiment matrix no longer touches this enum. All construction
 /// knowledge lives in the registry: [`Algo::build`] is
-/// `registry.build(self.spec(), ..)` against the shared default
-/// [`registry`]. Downstream policies added via `Registry::register` run
-/// through [`run_delay_experiment_with_registry`] /
-/// [`run_instance_with_registry`] with the extended registry.
+/// `registry.build(self.spec(), ..)` against [`Registry::shared`].
+/// Downstream policies added via `Registry::register` run through
+/// [`try_run_delay_experiment`] / [`run_instance`] with the extended
+/// registry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Algo {
     /// ROUNDROBIN baseline.
@@ -109,7 +100,7 @@ impl Algo {
     /// variants, and a configuration error worth failing loudly for in an
     /// experiment run for [`Algo::Spec`].
     pub fn build(&self, trace: &Trace, seed: u64) -> Box<dyn Scheduler> {
-        registry()
+        Registry::shared()
             .build(&self.spec(), &BuildContext { trace, seed })
             .unwrap_or_else(|e| panic!("algo {:?} is not buildable: {e}", self.label()))
     }
@@ -137,7 +128,8 @@ pub struct DelayExperiment {
     pub horizon: Time,
     /// Instances to average over (the paper uses 100).
     pub n_instances: usize,
-    /// Base RNG seed; instance `i` uses `base_seed + i`.
+    /// Base RNG seed; instance `i` uses `base_seed + i`, wrapping (seeds
+    /// live on the `u64` ring).
     pub base_seed: u64,
     /// Algorithms to evaluate.
     pub algos: Vec<Algo>,
@@ -187,40 +179,26 @@ pub struct ExperimentOutcome {
 }
 
 /// Runs one seeded instance: builds the workload through the shared
-/// [`WorkloadRegistry`], then evaluates every algorithm's experiment
-/// metric through the typed [`Report`] pipeline (the REF reference
-/// schedule is run automatically when the metric compares against it) —
-/// all through the [`Simulation`] session API and the shared default
-/// [`registry`]. Failures surface as typed [`SimError`]s instead of
+/// [`WorkloadRegistry`] at `seed`, then evaluates every algorithm's
+/// experiment metric as one [`Simulation::run_matrix_reports`] row
+/// (scheduler specs resolved through `registry`, session seed
+/// `seed ^ 0x5eed`; the REF reference runs once when the metric compares
+/// against it). Failures surface as typed [`SimError`]s instead of
 /// panics.
 pub fn run_instance(
     exp: &DelayExperiment,
     seed: u64,
-) -> Result<Vec<(String, f64)>, SimError> {
-    run_instance_with_registry(exp, seed, registry())
-}
-
-/// [`run_instance`] resolving scheduler specs through a caller-supplied
-/// registry — the entry point for experiments over downstream policies
-/// added with `Registry::register`. (Downstream *workloads* go through
-/// [`run_instance_with_registries`].)
-pub fn run_instance_with_registry(
-    exp: &DelayExperiment,
-    seed: u64,
     registry: &Registry,
 ) -> Result<Vec<(String, f64)>, SimError> {
-    run_instance_with_registries(exp, seed, registry, WorkloadRegistry::shared())
-}
-
-/// [`run_instance`] with both registries caller-supplied, for experiments
-/// combining downstream policies and downstream workload families.
-pub fn run_instance_with_registries(
-    exp: &DelayExperiment,
-    seed: u64,
-    registry: &Registry,
-    workloads: &WorkloadRegistry,
-) -> Result<Vec<(String, f64)>, SimError> {
-    let reports = run_instance_reports(exp, seed, registry, workloads)?;
+    let trace =
+        WorkloadRegistry::shared().build(&exp.workload, &WorkloadContext { seed })?;
+    let specs: Vec<SchedulerSpec> = exp.algos.iter().map(Algo::spec).collect();
+    let reports = Simulation::new(&trace)
+        .registry(registry)
+        .horizon(exp.horizon)
+        .seed(seed ^ 0x5eed)
+        .metric_specs(vec![exp.metric.clone()])
+        .run_matrix_reports(&specs)?;
     Ok(exp
         .algos
         .iter()
@@ -248,142 +226,30 @@ pub fn run_instance_with_registries(
         .collect())
 }
 
-/// The full per-instance reports behind [`run_instance`]: one typed
-/// [`Report`] per algorithm (canonical metric spec included for
-/// provenance), in algorithm order.
-pub fn run_instance_reports(
-    exp: &DelayExperiment,
-    seed: u64,
-    registry: &Registry,
-    workloads: &WorkloadRegistry,
-) -> Result<Vec<Report>, SimError> {
-    let trace = workloads
-        .build(&exp.workload, &WorkloadContext { seed })
-        .map_err(SimError::Workload)?;
-    let session = Simulation::new(&trace)
-        .registry(registry)
-        .horizon(exp.horizon)
-        .seed(seed ^ 0x5eed)
-        .metric_specs(vec![exp.metric.clone()]);
-    let specs: Vec<SchedulerSpec> = exp.algos.iter().map(Algo::spec).collect();
-    let mut reports = session.run_matrix_reports(&specs)?;
-    for report in &mut reports {
-        report.workload_spec = Some(exp.workload.clone());
-    }
-    Ok(reports)
-}
-
-/// What [`persist_instance_cells`] did for one instance.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PersistedCells {
-    /// Cells computed and committed by this call.
-    pub written: usize,
-    /// Cells skipped because an intact committed result already existed.
-    pub skipped: usize,
-    /// The cell file paths, in algorithm order.
-    pub paths: Vec<std::path::PathBuf>,
-}
-
-/// Persists one instance's per-algorithm reports as durable experiment
-/// cells under `dir` — the same content-addressed
-/// `<fnv128(key)>.json` format the `fairsched experiment` runner
-/// commits, written with the same atomic write-then-rename. Re-running
-/// skips every intact committed cell, so an interrupted bench sweep
-/// resumes instead of recomputing: bench artifacts are experiment cells.
-///
-/// The cell key records the exact seeds [`run_instance_reports`] uses
-/// (workload built at `seed`, session seeded `seed ^ 0x5eed`), so a cell
-/// written here is bit-identical to one computed by the durable runner
-/// for the same decoupled-seed spec.
-pub fn persist_instance_cells(
-    exp: &DelayExperiment,
-    instance: u64,
-    dir: &std::path::Path,
-    registry: &Registry,
-    workloads: &WorkloadRegistry,
-) -> Result<PersistedCells, SimError> {
-    use fairsched_experiment::{decode_cell, encode_cell, CellKey};
-
-    let seed = exp.base_seed.wrapping_add(instance);
-    let keys: Vec<CellKey> = exp
-        .algos
-        .iter()
-        .map(|algo| CellKey {
-            workload: exp.workload.clone(),
-            scheduler: algo.spec(),
-            metrics: vec![exp.metric.clone()],
-            horizon: Some(exp.horizon),
-            validate: false,
-            instance,
-            workload_seed: seed,
-            scheduler_seed: seed ^ 0x5eed,
-        })
-        .collect();
-    std::fs::create_dir_all(dir).map_err(|e| SimError::io("create-dir", dir, &e))?;
-    let mut out = PersistedCells::default();
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        let path = dir.join(key.file_name());
-        let intact = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| serde_json::parse_value(&text).ok())
-            .and_then(|v| decode_cell(&v))
-            .is_some_and(|stored| stored.key == key.canonical());
-        if intact {
-            out.skipped += 1;
-        } else {
-            pending.push(i);
-        }
-        out.paths.push(path);
-    }
-    if pending.is_empty() {
-        return Ok(out);
-    }
-    let reports = run_instance_reports(exp, seed, registry, workloads)?;
-    for i in pending {
-        let outcome: Result<Report, SimError> = Ok(reports[i].clone());
-        let mut text = encode_cell(&keys[i], &outcome).to_json_pretty();
-        text.push('\n');
-        let path = &out.paths[i];
-        fairsched_core::journal::atomic_write(path, &text)?;
-        out.written += 1;
-    }
-    Ok(out)
-}
-
-/// Runs the full experiment (instances in parallel) and aggregates,
-/// reporting any per-instance failures to stderr. See
-/// [`try_run_delay_experiment_with_registry`] for the non-printing,
-/// failure-returning form.
+/// Runs the full experiment (instances in parallel) through
+/// [`Registry::shared`] and aggregates, reporting any per-instance
+/// failures to stderr. See [`try_run_delay_experiment`] for the
+/// non-printing, failure-returning form.
 pub fn run_delay_experiment(exp: &DelayExperiment) -> Vec<AlgoStats> {
-    run_delay_experiment_with_registry(exp, registry())
-}
-
-/// [`run_delay_experiment`] resolving specs through a caller-supplied
-/// registry (for downstream policies).
-pub fn run_delay_experiment_with_registry(
-    exp: &DelayExperiment,
-    registry: &Registry,
-) -> Vec<AlgoStats> {
-    let outcome = try_run_delay_experiment_with_registry(exp, registry);
+    let outcome = try_run_delay_experiment(exp, Registry::shared());
     for failure in &outcome.failures {
         eprintln!("warning: skipped {failure}");
     }
     outcome.stats
 }
 
-/// Runs the full experiment (instances in parallel), aggregating over the
-/// instances that succeed and collecting every failure with its seed —
-/// one bad instance no longer brings down a 100-instance matrix.
-pub fn try_run_delay_experiment_with_registry(
+/// Runs the full experiment (instances in parallel, scheduler specs
+/// resolved through `registry`), aggregating over the instances that
+/// succeed and collecting every failure with its seed — one bad instance
+/// does not bring down a 100-instance matrix.
+pub fn try_run_delay_experiment(
     exp: &DelayExperiment,
     registry: &Registry,
 ) -> ExperimentOutcome {
     let seeds: Vec<u64> =
-        (0..exp.n_instances as u64).map(|i| exp.base_seed + i).collect();
-    let per_instance = parallel_map(seeds, |seed| {
-        (seed, run_instance_with_registry(exp, seed, registry))
-    });
+        (0..exp.n_instances as u64).map(|i| exp.base_seed.wrapping_add(i)).collect();
+    let per_instance =
+        parallel_map(seeds, |seed| (seed, run_instance(exp, seed, registry)));
     let mut successes: Vec<Vec<(String, f64)>> = Vec::new();
     let mut failures = Vec::new();
     for (seed, result) in per_instance {
@@ -441,36 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn persisted_cells_skip_on_rerun_and_round_trip() {
-        let exp = tiny_exp();
-        let dir = std::env::temp_dir().join("fairsched-bench-cells-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let first =
-            persist_instance_cells(&exp, 0, &dir, registry(), WorkloadRegistry::shared())
-                .unwrap();
-        assert_eq!(first.written, exp.algos.len());
-        assert_eq!(first.skipped, 0);
-        // Every committed cell decodes, carries its own key, and holds a
-        // successful report for the experiment's metric.
-        for path in &first.paths {
-            let text = std::fs::read_to_string(path).unwrap();
-            let value = serde_json::parse_value(&text).unwrap();
-            let stored = fairsched_experiment::decode_cell(&value).unwrap();
-            assert_eq!(stored.status, "done");
-            let report = stored.report.unwrap();
-            assert_eq!(report.columns[0].spec, exp.metric);
-        }
-        // A second call recomputes nothing: bench artifacts resume.
-        let again =
-            persist_instance_cells(&exp, 0, &dir, registry(), WorkloadRegistry::shared())
-                .unwrap();
-        assert_eq!(again.written, 0);
-        assert_eq!(again.skipped, exp.algos.len());
-        assert_eq!(again.paths, first.paths);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn experiment_produces_stats_per_algo() {
         let stats = run_delay_experiment(&tiny_exp());
         assert_eq!(stats.len(), 3);
@@ -484,7 +320,10 @@ mod tests {
     #[test]
     fn instance_is_deterministic() {
         let exp = tiny_exp();
-        assert_eq!(run_instance(&exp, 3).unwrap(), run_instance(&exp, 3).unwrap());
+        assert_eq!(
+            run_instance(&exp, 3, Registry::shared()).unwrap(),
+            run_instance(&exp, 3, Registry::shared()).unwrap()
+        );
     }
 
     /// A scheduler that violates the greedy contract must surface as a
@@ -537,7 +376,7 @@ mod tests {
         let mut exp = tiny_exp();
         exp.algos = vec![Algo::parse("broken").unwrap()];
         exp.n_instances = 2;
-        let outcome = try_run_delay_experiment_with_registry(&exp, &registry);
+        let outcome = try_run_delay_experiment(&exp, &registry);
         assert_eq!(outcome.failures.len(), 2, "both instances must fail");
         assert_eq!(outcome.stats.len(), 1);
         assert!(outcome.stats[0].values.is_empty());
@@ -555,7 +394,7 @@ mod tests {
     /// unrelated reason (here: none fail — the outcome form is just empty).
     #[test]
     fn outcome_has_no_failures_on_clean_run() {
-        let outcome = try_run_delay_experiment_with_registry(&tiny_exp(), registry());
+        let outcome = try_run_delay_experiment(&tiny_exp(), Registry::shared());
         assert!(outcome.failures.is_empty());
         assert_eq!(outcome.stats.len(), 3);
     }
@@ -570,7 +409,7 @@ mod tests {
         let mut exp = tiny_exp();
         // scale=0 violates the synth factory's (0, 1] constraint.
         exp.workload = "synth:preset=lpc,scale=0".parse().unwrap();
-        let outcome = try_run_delay_experiment_with_registry(&exp, registry());
+        let outcome = try_run_delay_experiment(&exp, Registry::shared());
         assert_eq!(outcome.failures.len(), exp.n_instances, "every instance must fail");
         for f in &outcome.failures {
             assert!(
@@ -588,11 +427,25 @@ mod tests {
         // An unknown workload *name* is equally typed.
         // lint:allow(spec-literal) deliberately unregistered family.
         exp.workload = "quantumfoam:qubits=8".parse().unwrap();
-        let outcome = try_run_delay_experiment_with_registry(&exp, registry());
+        let outcome = try_run_delay_experiment(&exp, Registry::shared());
         assert!(outcome.failures.iter().all(|f| matches!(
             f.error,
             SimError::Workload(WorkloadError::UnknownWorkload { .. })
         )));
+    }
+
+    /// Instance seeds live on the `u64` ring: a base seed at the top wraps
+    /// to 0 instead of overflowing.
+    #[test]
+    fn instance_seeds_wrap_around_the_u64_ring() {
+        let mut exp = tiny_exp();
+        // A workload that fails to build reports every instance's seed.
+        exp.workload = "synth:preset=lpc,scale=0".parse().unwrap();
+        exp.base_seed = u64::MAX;
+        exp.n_instances = 2;
+        let outcome = try_run_delay_experiment(&exp, Registry::shared());
+        let seeds: Vec<u64> = outcome.failures.iter().map(|f| f.seed).collect();
+        assert_eq!(seeds, [u64::MAX, 0]);
     }
 
     /// The spec-grid workload axis reaches experiments end to end: an fpt
@@ -619,9 +472,9 @@ mod tests {
     fn timeline_metric_cells_project_to_the_final_point() {
         let mut exp = tiny_exp();
         exp.n_instances = 1;
-        let delay_vals = run_instance(&exp, 3).unwrap();
+        let delay_vals = run_instance(&exp, 3, Registry::shared()).unwrap();
         exp.metric = "timeline:samples=16".parse().unwrap();
-        let timeline_vals = run_instance(&exp, 3).unwrap();
+        let timeline_vals = run_instance(&exp, 3, Registry::shared()).unwrap();
         assert_eq!(timeline_vals.len(), delay_vals.len());
         for ((l1, v1), (l2, v2)) in timeline_vals.iter().zip(&delay_vals) {
             assert_eq!(l1, l2);
@@ -704,7 +557,7 @@ mod tests {
         let mut exp = tiny_exp();
         exp.algos = vec![Algo::parse("house-policy").unwrap(), Algo::FairShare];
         exp.n_instances = 1;
-        let stats = run_delay_experiment_with_registry(&exp, &extended);
+        let stats = try_run_delay_experiment(&exp, &extended).stats;
         assert_eq!(stats[0].label, "house-policy");
         assert_eq!(stats.len(), 2);
     }

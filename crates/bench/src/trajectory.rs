@@ -173,6 +173,7 @@ impl Trajectory {
 mod tests {
     use super::*;
     use crate::runner::DelayExperiment;
+    use fairsched_core::scheduler::registry::Registry;
     use fairsched_sim::report::MetricValue;
 
     fn tiny() -> TrajectoryExperiment {
@@ -218,7 +219,7 @@ mod tests {
             algos: vec![Algo::RoundRobin, Algo::FairShare],
             metric: DelayExperiment::delay_metric(),
         };
-        let delays = crate::runner::run_instance(&exp, 7).unwrap();
+        let delays = crate::runner::run_instance(&exp, 7, Registry::shared()).unwrap();
         for (row, (label, delay)) in t.rows.iter().zip(&delays) {
             assert_eq!(&row.label, label);
             let final_point = row.series.final_aggregate().unwrap();

@@ -44,7 +44,6 @@ mod engine;
 pub mod exhaustive;
 pub mod gantt;
 pub mod metrics;
-pub mod parallel;
 pub mod report;
 pub mod session;
 pub mod stepper;
@@ -55,7 +54,5 @@ pub use report::{
     MetricColumn, MetricContext, MetricError, MetricFactory, MetricKind, MetricOutput,
     MetricRegistry, MetricSpec, MetricValue, Report, TimeSeriesColumn,
 };
-pub use session::{
-    GridCell, ReportCell, ReportRow, SimError, Simulation, DEFAULT_REPORT_METRICS,
-};
+pub use session::{ReportCell, ReportRow, SimError, Simulation, DEFAULT_REPORT_METRICS};
 pub use stepper::{Admission, SimSession, SNAPSHOT_SCHEMA};

@@ -10,6 +10,13 @@
 //! trace, scheduler contract violations — surfaces as a typed
 //! [`SimError`].
 //!
+//! [`run`](Simulation::run) returns one schedule. Everything measured goes
+//! through one [`ReportRow`] per trace: [`run_report`](Simulation::run_report)
+//! is a one-cell row, [`run_matrix_reports`](Simulation::run_matrix_reports)
+//! and [`run_grid_reports`](Simulation::run_grid_reports) are serial loops
+//! over rows, and [`report_row`](Simulation::report_row) hands the row to
+//! callers that drive it cell by cell (the durable experiment runner).
+//!
 //! ```
 //! use fairsched_core::Trace;
 //! use fairsched_sim::Simulation;
@@ -29,10 +36,16 @@
 //!     .run()?;
 //! assert_eq!(result.completed_jobs, 4);
 //!
-//! // Fan out over several schedulers with identical settings:
+//! // Compare several schedulers with identical settings: one typed
+//! // `Report` per spec, in spec order. `delay` measures each against the
+//! // exact REF schedule, which runs once for the whole row.
 //! let specs = ["roundrobin".parse()?, "directcontr".parse()?];
-//! let results = Simulation::new(&trace).horizon(5_000).run_matrix(&specs)?;
-//! assert_eq!(results.len(), 2);
+//! let reports = Simulation::new(&trace)
+//!     .horizon(5_000)
+//!     .metrics(&["delay", "psi"])?
+//!     .run_matrix_reports(&specs)?;
+//! assert_eq!(reports.len(), 2);
+//! assert_eq!(reports[1].scheduler, "DirectContr");
 //!
 //! // A session needs no hand-built trace: workloads are specs too, and a
 //! // whole (workload × scheduler) experiment grid is pure data.
@@ -44,12 +57,12 @@
 //!     .run()?;
 //! assert!(result.completed_jobs > 0);
 //!
-//! let grid = Simulation::session().horizon(500).seed(3).run_grid(
+//! let grid = Simulation::session().horizon(500).seed(3).run_grid_reports(
 //!     &["fpt:k=2".parse()?, "fpt:k=3".parse()?],
 //!     &["fifo".parse()?, "roundrobin".parse()?],
 //! );
 //! assert_eq!(grid.len(), 4);
-//! assert!(grid.iter().all(|cell| cell.result.is_ok()));
+//! assert!(grid.iter().all(|cell| cell.report.is_ok()));
 //! # Ok::<(), fairsched_sim::SimError>(())
 //! ```
 
@@ -252,8 +265,9 @@ enum Chosen {
 /// Where the session's trace comes from.
 enum Source<'a> {
     /// Nothing chosen yet (only valid on a [`Simulation::session`]
-    /// template that is used for [`run_grid`](Simulation::run_grid) or
-    /// completed with [`workload`](Simulation::workload)).
+    /// template that is used for
+    /// [`run_grid_reports`](Simulation::run_grid_reports) or completed
+    /// with [`workload`](Simulation::workload)).
     None,
     /// A caller-owned trace.
     Trace(&'a Trace),
@@ -291,8 +305,8 @@ impl Simulation<'static> {
     /// A settings-only session template with no trace or workload chosen
     /// yet: complete it with [`workload`](Simulation::workload) /
     /// [`workload_spec`](Simulation::workload_spec), or use it directly
-    /// for [`run_grid`](Simulation::run_grid), which supplies its own
-    /// workload axis.
+    /// for [`run_grid_reports`](Simulation::run_grid_reports), which
+    /// supplies its own workload axis.
     pub fn session() -> Self {
         Simulation {
             source: Source::None,
@@ -494,89 +508,6 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Runs one simulation per spec with this session's settings (same
-    /// trace, horizon, seed, validation) — the experiment-matrix helper
-    /// behind the bench tables. Any scheduler chosen via
-    /// [`scheduler`](Simulation::scheduler) is ignored here; only `specs`
-    /// are run. A workload source is resolved **once** and shared by every
-    /// cell.
-    ///
-    /// Sessions are embarrassingly parallel, so the specs are fanned out
-    /// over [`parallel_map`](crate::parallel::parallel_map) worker
-    /// threads. Each run is seeded exactly as in a serial loop, results
-    /// come back in spec order, and on failure the error reported is the
-    /// first failing spec's (in spec order) — byte-for-byte the serial
-    /// behavior.
-    pub fn run_matrix(
-        &self,
-        specs: &[SchedulerSpec],
-    ) -> Result<Vec<SimResult>, SimError> {
-        let trace = self.resolve_trace()?;
-        self.run_matrix_on(&trace, specs).into_iter().collect()
-    }
-
-    /// The shared fan-out core of [`run_matrix`](Simulation::run_matrix)
-    /// and [`run_grid`](Simulation::run_grid): one result per scheduler
-    /// spec, in spec order, over an already-resolved trace.
-    fn run_matrix_on(
-        &self,
-        trace: &Trace,
-        specs: &[SchedulerSpec],
-    ) -> Vec<Result<SimResult, SimError>> {
-        let options = self.options_for(trace);
-        let registry = self.resolve_registry();
-        let seed = self.seed;
-        crate::parallel::parallel_map(specs.to_vec(), move |spec| {
-            run_spec(registry, &spec, trace, seed, options)
-        })
-    }
-
-    /// Runs the full `(workload × scheduler)` spec grid with this
-    /// session's settings — a whole experiment matrix as pure data. Cells
-    /// come back in row-major order (all schedulers of `workloads[0]`,
-    /// then `workloads[1]`, …), each carrying its own typed
-    /// `Result`: a workload that fails to build fails *its row's* cells
-    /// and the grid continues, so one bad spec cannot take down a sweep.
-    ///
-    /// Each workload is built once (with the session seed) and shared by
-    /// its row; scheduler cells fan out over
-    /// [`parallel_map`](crate::parallel::parallel_map) exactly as in
-    /// [`run_matrix`](Simulation::run_matrix), so results are identical to
-    /// the serial double loop.
-    pub fn run_grid(
-        &self,
-        workloads: &[WorkloadSpec],
-        schedulers: &[SchedulerSpec],
-    ) -> Vec<GridCell> {
-        let ctx = WorkloadContext { seed: self.seed };
-        let registry = self.resolve_workloads();
-        let mut cells = Vec::with_capacity(workloads.len() * schedulers.len());
-        for wspec in workloads {
-            match registry.build(wspec, &ctx) {
-                Err(e) => {
-                    for sspec in schedulers {
-                        cells.push(GridCell {
-                            workload: wspec.clone(),
-                            scheduler: sspec.clone(),
-                            result: Err(SimError::Workload(e.clone())),
-                        });
-                    }
-                }
-                Ok(trace) => {
-                    let row = self.run_matrix_on(&trace, schedulers);
-                    for (sspec, result) in schedulers.iter().zip(row) {
-                        cells.push(GridCell {
-                            workload: wspec.clone(),
-                            scheduler: sspec.clone(),
-                            result,
-                        });
-                    }
-                }
-            }
-        }
-        cells
-    }
-
     /// Runs the session and measures it: like [`run`](Simulation::run),
     /// but the outcome is a typed [`Report`] evaluating the session's
     /// metric specs (set with [`metrics`](Simulation::metrics); default
@@ -631,52 +562,28 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// [`run_matrix`](Simulation::run_matrix), reported: one [`Report`]
-    /// per scheduler spec, in spec order, over one resolved trace and
-    /// (when needed) one shared REF reference run.
+    /// One [`Report`] per scheduler spec, in spec order: every spec run
+    /// with this session's settings over one resolved trace, as one
+    /// [`ReportRow`] (so REF runs at most once, when a metric needs it).
+    /// Any scheduler chosen via [`scheduler`](Simulation::scheduler) is
+    /// ignored here; only `specs` are run. The first failing spec's error
+    /// is returned.
     pub fn run_matrix_reports(
         &self,
         specs: &[SchedulerSpec],
     ) -> Result<Vec<Report>, SimError> {
         let trace = self.resolve_trace()?;
-        self.run_matrix_reports_on(&trace, self.workload_provenance(), specs)
-            .into_iter()
-            .collect()
+        let mut row = self.report_row(&trace, self.workload_provenance());
+        specs.iter().map(|spec| row.report(spec)).collect()
     }
 
-    /// The shared core of [`run_matrix_reports`](Simulation::run_matrix_reports)
-    /// and [`run_grid_reports`](Simulation::run_grid_reports): per-spec
-    /// typed results over an already-resolved trace. The scheduler runs
-    /// fan out in parallel; each is then finished through the one
-    /// [`ReportRow`], so a bare `ref` among `specs` doubles as the row's
-    /// reference instead of REF running once more.
-    fn run_matrix_reports_on(
-        &self,
-        trace: &Trace,
-        workload: Option<WorkloadSpec>,
-        specs: &[SchedulerSpec],
-    ) -> Vec<Result<Report, SimError>> {
-        let results: Vec<_> = self
-            .run_matrix_on(trace, specs)
-            .into_iter()
-            .map(|result| result.map(Rc::new))
-            .collect();
-        let mut row = self.report_row(trace, workload);
-        if let Some(own) = specs.iter().position(is_reference_spec) {
-            row.reference = Some(results[own].clone());
-        }
-        results
-            .into_iter()
-            .zip(specs)
-            .map(|(result, spec)| row.finish(Some(spec), result))
-            .collect()
-    }
-
-    /// [`run_grid`](Simulation::run_grid), reported: the full
-    /// `(workload × scheduler)` grid in row-major order, each cell a
-    /// typed [`Report`] (or the typed error that stopped it). Workloads
-    /// are built once per row; when a reference-based metric is chosen,
-    /// REF runs once per row and is shared by its cells.
+    /// The full `(workload × scheduler)` grid in row-major order (all
+    /// schedulers of `workloads[0]`, then `workloads[1]`, …), each cell a
+    /// typed [`Report`] or the typed error that stopped it. Each workload
+    /// is built once (with the session seed) and runs as one
+    /// [`ReportRow`]. A workload that fails to build fails *its row's*
+    /// cells and the grid continues, so one bad spec cannot take down a
+    /// sweep.
     pub fn run_grid_reports(
         &self,
         workloads: &[WorkloadSpec],
@@ -686,31 +593,16 @@ impl<'a> Simulation<'a> {
         let registry = self.resolve_workloads();
         let mut cells = Vec::with_capacity(workloads.len() * schedulers.len());
         for wspec in workloads {
-            match registry.build(wspec, &ctx) {
-                Err(e) => {
-                    for sspec in schedulers {
-                        cells.push(ReportCell {
-                            workload: wspec.clone(),
-                            scheduler: sspec.clone(),
-                            report: Err(SimError::Workload(e.clone())),
-                        });
-                    }
-                }
-                Ok(trace) => {
-                    let row = self.run_matrix_reports_on(
-                        &trace,
-                        Some(wspec.clone()),
-                        schedulers,
-                    );
-                    for (sspec, report) in schedulers.iter().zip(row) {
-                        cells.push(ReportCell {
-                            workload: wspec.clone(),
-                            scheduler: sspec.clone(),
-                            report,
-                        });
-                    }
-                }
-            }
+            let trace = registry.build(wspec, &ctx);
+            let mut row = trace.as_ref().map(|t| self.report_row(t, Some(wspec.clone())));
+            cells.extend(schedulers.iter().map(|sspec| ReportCell {
+                workload: wspec.clone(),
+                scheduler: sspec.clone(),
+                report: match &mut row {
+                    Ok(row) => row.report(sspec),
+                    Err(e) => Err(SimError::Workload((*e).clone())),
+                },
+            }));
         }
         cells
     }
@@ -823,18 +715,6 @@ pub struct ReportCell {
     pub report: Result<Report, SimError>,
 }
 
-/// One cell of a [`Simulation::run_grid`] sweep: which workload × which
-/// scheduler, and the typed outcome.
-#[derive(Debug)]
-pub struct GridCell {
-    /// The workload axis value.
-    pub workload: WorkloadSpec,
-    /// The scheduler axis value.
-    pub scheduler: SchedulerSpec,
-    /// The run's outcome; errors are per-cell, the grid always completes.
-    pub result: Result<SimResult, SimError>,
-}
-
 impl fmt::Debug for Simulation<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
@@ -934,84 +814,21 @@ mod tests {
 
     #[test]
     fn run_matrix_fans_out_in_order() {
+        use crate::report::MetricValue;
         let trace = small_trace();
-        let specs: Vec<SchedulerSpec> = ["roundrobin", "fairshare", "rand:perms=5"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let results = Simulation::new(&trace)
+        let specs = parse_all(&["roundrobin", "fairshare", "rand:perms=5"]);
+        let reports = Simulation::new(&trace)
             .horizon(50)
             .validate(true)
             .seed(3)
-            .run_matrix(&specs)
+            .run_matrix_reports(&specs)
             .unwrap();
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].scheduler, "RoundRobin");
-        assert_eq!(results[1].scheduler, "FairShare");
-        assert_eq!(results[2].scheduler, "Rand(N=5)");
-        for r in &results {
-            assert_eq!(r.completed_jobs, 4);
+        let names: Vec<&str> = reports.iter().map(|r| r.scheduler.as_str()).collect();
+        assert_eq!(names, ["RoundRobin", "FairShare", "Rand(N=5)"]);
+        for r in &reports {
+            let completed = &r.column("completed").unwrap().per_org;
+            assert_eq!(completed.iter().map(MetricValue::as_f64).sum::<f64>(), 4.0);
         }
-    }
-
-    /// The parallel fan-out must be indistinguishable from a serial loop:
-    /// same specs, same seeds, same order, same schedules and ψ vectors.
-    #[test]
-    fn run_matrix_parallel_matches_serial_runs() {
-        let trace = small_trace();
-        let specs: Vec<SchedulerSpec> = [
-            "ref",
-            "rand:perms=7",
-            "roundrobin",
-            "fairshare",
-            "utfairshare",
-            "currfairshare",
-            "directcontr",
-            "fifo",
-            "random",
-            "rand:perms=20",
-        ]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-        let session = Simulation::new(&trace).horizon(60).validate(true).seed(11);
-        let parallel = session.run_matrix(&specs).unwrap();
-        assert_eq!(parallel.len(), specs.len());
-        for (spec, par) in specs.iter().zip(&parallel) {
-            let serial = Simulation::new(&trace)
-                .scheduler_spec(spec.clone())
-                .horizon(60)
-                .validate(true)
-                .seed(11)
-                .run()
-                .unwrap();
-            assert_eq!(par.scheduler, serial.scheduler);
-            assert_eq!(par.schedule, serial.schedule, "schedule diverged for {spec}");
-            assert_eq!(par.psi, serial.psi, "ψ diverged for {spec}");
-            assert_eq!(par.completed_jobs, serial.completed_jobs);
-        }
-    }
-
-    /// Fan-out is deterministic run-to-run (worker interleaving must not
-    /// leak into results).
-    #[test]
-    fn run_matrix_parallel_is_deterministic() {
-        let trace = small_trace();
-        let specs: Vec<SchedulerSpec> = ["rand:perms=9", "random", "directcontr", "ref"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let run = || {
-            Simulation::new(&trace)
-                .horizon(50)
-                .seed(23)
-                .run_matrix(&specs)
-                .unwrap()
-                .into_iter()
-                .map(|r| (r.scheduler, r.psi, r.schedule.entries().to_vec()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -1019,7 +836,7 @@ mod tests {
         let trace = small_trace();
         let specs = vec!["roundrobin".parse().unwrap(), "nonesuch".parse().unwrap()];
         assert!(matches!(
-            Simulation::new(&trace).run_matrix(&specs),
+            Simulation::new(&trace).run_matrix_reports(&specs),
             Err(SimError::Spec(SpecError::UnknownScheduler { .. }))
         ));
     }
@@ -1108,51 +925,45 @@ mod tests {
             .collect();
         let session =
             Simulation::session().workload("fpt:k=3").unwrap().horizon(600).seed(7);
-        let results = session.run_matrix(&specs).unwrap();
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].scheduler, "Fifo");
-        assert_eq!(results[2].scheduler, "Rand(N=5)");
+        let reports = session.run_matrix_reports(&specs).unwrap();
+        assert_eq!(reports.len(), 3);
+        assert_eq!(reports[0].scheduler, "Fifo");
+        assert_eq!(reports[2].scheduler, "Rand(N=5)");
+        for report in &reports {
+            assert_eq!(report.workload_spec.as_ref().unwrap().to_string(), "fpt:k=3");
+        }
     }
 
     /// The grid must equal the serial double loop cell for cell: same
-    /// row-major order, same schedules, same ψ vectors.
+    /// row-major order, same reports.
     #[test]
     fn run_grid_matches_serial_double_loop() {
-        use fairsched_workloads::spec::WorkloadRegistry;
         let workloads: Vec<WorkloadSpec> = ["fpt:k=2", "fpt:horizon=500,k=3"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let schedulers: Vec<SchedulerSpec> = ["fifo", "fairshare", "rand:perms=4"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let grid = Simulation::session()
-            .horizon(400)
-            .validate(true)
-            .seed(11)
-            .run_grid(&workloads, &schedulers);
+        let schedulers = parse_all(&["fifo", "fairshare", "rand:perms=4"]);
+        let session = || Simulation::session().horizon(400).validate(true).seed(11);
+        let grid = session()
+            .metrics(&["delay", "psi"])
+            .unwrap()
+            .run_grid_reports(&workloads, &schedulers);
         assert_eq!(grid.len(), 6);
-        let mut i = 0;
+        let mut cells = grid.iter().enumerate();
         for wspec in &workloads {
-            let trace = WorkloadRegistry::shared()
-                .build(wspec, &WorkloadContext { seed: 11 })
-                .unwrap();
             for sspec in &schedulers {
-                let cell = &grid[i];
+                let (i, cell) = cells.next().unwrap();
                 assert_eq!(&cell.workload, wspec, "row-major order broken at {i}");
                 assert_eq!(&cell.scheduler, sspec, "row-major order broken at {i}");
-                let serial = Simulation::new(&trace)
+                let serial = session()
+                    .workload_spec(wspec.clone())
                     .scheduler_spec(sspec.clone())
-                    .horizon(400)
-                    .validate(true)
-                    .seed(11)
-                    .run()
+                    .metrics(&["delay", "psi"])
+                    .unwrap()
+                    .run_report()
                     .unwrap();
-                let cell_result = cell.result.as_ref().unwrap();
-                assert_eq!(cell_result.schedule, serial.schedule, "cell {i} diverged");
-                assert_eq!(cell_result.psi, serial.psi, "ψ diverged at cell {i}");
-                i += 1;
+                let cell_report = cell.report.as_ref().unwrap();
+                assert_eq!(cell_report.to_json(), serial.to_json(), "cell {i} diverged");
             }
         }
     }
@@ -1167,33 +978,35 @@ mod tests {
             .collect();
         let schedulers: Vec<SchedulerSpec> =
             ["fifo", "roundrobin"].iter().map(|s| s.parse().unwrap()).collect();
-        let grid =
-            Simulation::session().horizon(300).seed(5).run_grid(&workloads, &schedulers);
+        let grid = Simulation::session()
+            .horizon(300)
+            .seed(5)
+            .run_grid_reports(&workloads, &schedulers);
         assert_eq!(grid.len(), 6);
         for cell in &grid {
             if cell.workload.to_string() == "fpt:k=0" {
                 assert!(
                     matches!(
-                        cell.result,
+                        cell.report,
                         Err(SimError::Workload(WorkloadError::BadParam { .. }))
                     ),
                     "bad workload row must carry the typed build error"
                 );
             } else {
                 assert!(
-                    cell.result.is_ok(),
+                    cell.report.is_ok(),
                     "healthy rows must survive a bad workload in the grid"
                 );
             }
         }
         // Bad *scheduler* specs likewise fail per cell, not the grid.
-        let grid = Simulation::session().horizon(300).seed(5).run_grid(
+        let grid = Simulation::session().horizon(300).seed(5).run_grid_reports(
             &["fpt:k=2".parse().unwrap()],
             &["fifo".parse().unwrap(), "warpdrive".parse().unwrap()],
         );
-        assert!(grid[0].result.is_ok());
+        assert!(grid[0].report.is_ok());
         assert!(matches!(
-            grid[1].result,
+            grid[1].report,
             Err(SimError::Spec(SpecError::UnknownScheduler { .. }))
         ));
     }
@@ -1206,8 +1019,9 @@ mod tests {
             let mut grid = Simulation::session()
                 .horizon(300)
                 .seed(seed)
-                .run_grid(&workloads, &schedulers);
-            grid.remove(0).result.unwrap().schedule.entries().to_vec()
+                .run_grid_reports(&workloads, &schedulers);
+            let report = grid.remove(0).report.unwrap();
+            ["flow", "psi"].map(|m| report.column(m).unwrap().per_org.clone())
         };
         assert_eq!(run(4), run(4));
         assert_ne!(run(4), run(5), "different seeds must yield different workloads");
@@ -1453,8 +1267,8 @@ mod tests {
     /// What a row shares: REF is built once when a metric compares
     /// against it — by the row's own bare `ref` cell if it has one,
     /// wherever that cell stands — and never for reference-free metrics.
-    /// Both row-level paths (the serial `ReportRow` the experiment runner
-    /// drives, the parallel `run_matrix_reports`) agree with stand-alone
+    /// Both row-level paths (the `ReportRow` the experiment runner drives
+    /// cell by cell, and `run_matrix_reports`) agree with stand-alone
     /// `run_report` calls cell for cell.
     #[test]
     fn a_row_builds_the_reference_at_most_once() {

@@ -11,7 +11,6 @@
 //! `cargo run --release --example multi_org_consortium`
 
 use fairsched::core::fairness::FairnessReport;
-use fairsched::core::scheduler::SchedulerSpec;
 use fairsched::sim::{SimError, Simulation};
 use fairsched::workloads::{WorkloadContext, WorkloadRegistry};
 
@@ -39,25 +38,25 @@ fn main() -> Result<(), SimError> {
         );
     }
 
-    // One session carries the shared settings; every scheduler is named
-    // by its registry spec string.
-    let session = Simulation::new(&trace).horizon(horizon).seed(seed);
-    let fair = session.run_matrix(&["ref".parse()?])?.remove(0);
+    // Every run shares the same settings; every scheduler is named by its
+    // registry spec string.
+    let run = |spec: &str| {
+        Simulation::new(&trace).scheduler(spec)?.horizon(horizon).seed(seed).run()
+    };
+    let fair = run("ref")?;
 
     println!("\nΔψ/p_tot per scheduler (lower = more fair):");
-    let specs: Vec<SchedulerSpec> = [
+    let specs = [
         "rand:perms=15",
         "directcontr",
         "fairshare",
         "utfairshare",
         "currfairshare",
         "roundrobin",
-    ]
-    .iter()
-    .map(|s| s.parse())
-    .collect::<Result<_, _>>()?;
+    ];
     let mut results = Vec::new();
-    for r in session.run_matrix(&specs)? {
+    for spec in specs {
+        let r = run(spec)?;
         let report =
             FairnessReport::from_schedules(&trace, &r.schedule, &fair.schedule, horizon);
         println!(

@@ -29,8 +29,12 @@ fn main() -> Result<(), SimError> {
     // Two practical schedulers compared against it; any registry spec
     // string works here (`fairsched --help` lists them all).
     let specs: [SchedulerSpec; 2] = ["directcontr".parse()?, "fairshare".parse()?];
-    let results = Simulation::new(&trace).horizon(horizon).seed(7).run_matrix(&specs)?;
-    for result in results {
+    for spec in specs {
+        let result = Simulation::new(&trace)
+            .scheduler_spec(spec)
+            .horizon(horizon)
+            .seed(7)
+            .run()?;
         let report = FairnessReport::from_schedules(
             &trace,
             &result.schedule,

@@ -64,8 +64,7 @@ fn main() -> Result<(), SimError> {
     let trace = WorkloadRegistry::shared().build(&spec, &WorkloadContext { seed: 7 })?;
     let horizon = 300;
 
-    let session = Simulation::new(&trace).horizon(horizon);
-    let fair = session.run_matrix(&["ref".parse()?])?.remove(0);
+    let fair = Simulation::new(&trace).scheduler("ref")?.horizon(horizon).run()?;
     let result =
         Simulation::new(&trace).scheduler("fairshare")?.horizon(horizon).run()?;
 

@@ -58,22 +58,29 @@
 //! # Ok::<(), fairsched::sim::SimError>(())
 //! ```
 //!
-//! To sweep several schedulers with identical settings, use
-//! [`sim::Simulation::run_matrix`]; for a full **pure-data experiment
-//! matrix** — workloads × schedulers, no construction code — use
-//! [`sim::Simulation::run_grid`]:
+//! To compare several schedulers with identical settings, use
+//! [`sim::Simulation::run_matrix_reports`]: one typed [`sim::Report`] per
+//! scheduler spec, measured against one shared REF run when a metric
+//! needs it. For a full **pure-data experiment matrix** — workloads ×
+//! schedulers × metrics, no construction code — use
+//! [`sim::Simulation::run_grid_reports`]:
 //!
 //! ```
 //! use fairsched::sim::Simulation;
 //!
-//! let grid = Simulation::session().horizon(500).seed(7).run_grid(
-//!     &["fpt:k=2".parse()?, "fpt:k=3".parse()?],
-//!     &["fairshare".parse()?, "roundrobin".parse()?],
-//! );
+//! let grid = Simulation::session()
+//!     .horizon(500)
+//!     .seed(7)
+//!     .metrics(&["delay"])?
+//!     .run_grid_reports(
+//!         &["fpt:k=2".parse()?, "fpt:k=3".parse()?],
+//!         &["fairshare".parse()?, "roundrobin".parse()?],
+//!     );
 //! assert_eq!(grid.len(), 4); // row-major: every workload × every scheduler
 //! for cell in &grid {
-//!     let done = cell.result.as_ref().map(|r| r.completed_jobs).unwrap_or(0);
-//!     println!("{} × {} -> {done} jobs", cell.workload, cell.scheduler);
+//!     let report = cell.report.as_ref().map_err(|e| e.to_string())?;
+//!     let delay = &report.column("delay").ok_or("delay column")?.aggregate;
+//!     println!("{} × {} -> Δψ/p_tot {delay}", cell.workload, cell.scheduler);
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

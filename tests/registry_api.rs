@@ -89,11 +89,13 @@ fn every_registered_spec_round_trips_builds_and_runs() {
 fn matrix_covers_the_whole_registry() {
     let trace = small_trace();
     let registry = Registry::default();
-    let results = Simulation::new(&trace)
+    let reports = Simulation::new(&trace)
         .horizon(60)
-        .run_matrix(&registry.names().map(SchedulerSpec::bare).collect::<Vec<_>>())
+        .run_matrix_reports(
+            &registry.names().map(SchedulerSpec::bare).collect::<Vec<_>>(),
+        )
         .expect("full-registry matrix");
-    assert_eq!(results.len(), registry.names().count());
+    assert_eq!(reports.len(), registry.names().count());
 }
 
 proptest! {

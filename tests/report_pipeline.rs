@@ -12,7 +12,7 @@
 //!   `OrgMetrics` fields).
 
 use fairsched::core::fairness::FairnessReport;
-use fairsched::core::scheduler::registry::SchedulerSpec;
+use fairsched::core::scheduler::registry::{Registry, SchedulerSpec};
 use fairsched::core::Trace;
 use fairsched::sim::metrics::org_metrics;
 use fairsched::sim::report::{MetricRegistry, MetricValue, Report};
@@ -27,14 +27,21 @@ fn bench_family_trace(seed: u64) -> Trace {
     WorkloadRegistry::shared().build_str("fpt:k=8", &WorkloadContext { seed }).unwrap()
 }
 
-/// The pre-refactor bench computation, reproduced verbatim: REF and every
-/// algorithm through `run_matrix`, then `FairnessReport` per algorithm.
+/// The pre-refactor bench computation: REF and every algorithm run on
+/// their own, then `FairnessReport` per algorithm.
 fn old_style_unfairness(trace: &Trace, specs: &[SchedulerSpec], seed: u64) -> Vec<f64> {
-    let session = Simulation::new(trace).horizon(HORIZON).seed(seed ^ 0x5eed);
-    let ref_result = session.run_matrix(&[SchedulerSpec::bare("ref")]).unwrap().remove(0);
-    let results = session.run_matrix(specs).unwrap();
-    results
+    let run = |spec: &SchedulerSpec| {
+        Simulation::new(trace)
+            .scheduler_spec(spec.clone())
+            .horizon(HORIZON)
+            .seed(seed ^ 0x5eed)
+            .run()
+            .unwrap()
+    };
+    let ref_result = run(&SchedulerSpec::bare("ref"));
+    specs
         .iter()
+        .map(run)
         .map(|result| {
             FairnessReport::from_schedules(
                 trace,
@@ -60,7 +67,7 @@ fn bench_runner_delay_is_bit_identical_to_the_old_path() {
         algos: vec![Algo::RoundRobin, Algo::FairShare, Algo::Rand(5), Algo::Fifo],
         metric: DelayExperiment::delay_metric(),
     };
-    let new = run_instance(&exp, SEED).unwrap();
+    let new = run_instance(&exp, SEED, Registry::shared()).unwrap();
 
     let trace = bench_family_trace(SEED);
     let specs: Vec<SchedulerSpec> = exp.algos.iter().map(Algo::spec).collect();
