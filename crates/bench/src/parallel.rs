@@ -24,6 +24,8 @@ where
         return items.into_iter().map(f).collect();
     }
     // Each worker pulls the next (index, item) off one shared iterator.
+    // `f` runs outside the lock, and a `next()` call leaves the iterator
+    // valid, so a poisoned lock still guards consistent data.
     let inputs = Mutex::new(items.into_iter().enumerate());
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
