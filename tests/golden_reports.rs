@@ -1,10 +1,13 @@
-//! Golden snapshots of the CLI's `--json` report.
+//! Golden snapshots of the CLI's reports.
 //!
 //! The JSON report is the machine-readable contract of the `fairsched`
 //! binary: downstream tooling parses it, so its *schema* (field names,
 //! nesting, canonical `metric_specs`) and its *values* (deterministic
-//! given workload spec + seed) are pinned here byte for byte. The
-//! fixtures live under `tests/golden/reports/`.
+//! given workload spec + seed) are pinned here byte for byte. The human
+//! report (metric table plus the "fairness vs exact REF reference"
+//! section) is pinned the same way. The fixtures live under
+//! `tests/golden/reports/`: `.json` for JSON reports, `.stdout` for human
+//! ones.
 //!
 //! Regenerate with `REGEN_GOLDEN=1 cargo test --test golden_reports` —
 //! but only when a *deliberate* schema or pipeline change is being made,
@@ -80,10 +83,58 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-fn golden_path(name: &str) -> PathBuf {
+/// Human (non-JSON) reports.
+fn text_cases() -> Vec<Case> {
+    vec![
+        // A non-REF scheduler: the metric table is followed by the
+        // per-organization comparison against the exact REF reference.
+        Case {
+            name: "fpt_k3_roundrobin_text",
+            args: &[
+                "--workload",
+                "fpt:k=3",
+                "--horizon",
+                "2000",
+                "--seed",
+                "7",
+                "--scheduler",
+                "roundrobin",
+            ],
+        },
+        // REF is its own reference: delay is zero and no fairness
+        // section is printed.
+        Case {
+            name: "fpt_k3_ref_delay_psi_text",
+            args: &[
+                "--workload",
+                "fpt:k=3",
+                "--scheduler",
+                "ref",
+                "--metrics",
+                "delay,psi",
+            ],
+        },
+    ]
+}
+
+fn golden_path(name: &str, extension: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/reports")
-        .join(format!("{name}.json"))
+        .join(format!("{name}.{extension}"))
+}
+
+/// Writes `rendered` as the golden under `REGEN_GOLDEN`, else reports
+/// whether it matches the committed one.
+fn matches_golden(name: &str, extension: &str, rendered: &str) -> bool {
+    let path = golden_path(name, extension);
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, rendered).unwrap();
+        return true;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+    rendered == expected
 }
 
 fn run_cli(args: &[&str]) -> String {
@@ -101,7 +152,6 @@ fn run_cli(args: &[&str]) -> String {
 
 #[test]
 fn cli_json_reports_match_golden_fixtures() {
-    let regen = std::env::var_os("REGEN_GOLDEN").is_some();
     let mut mismatches = Vec::new();
     for case in cases() {
         let rendered = run_cli(case.args);
@@ -113,15 +163,7 @@ fn cli_json_reports_match_golden_fixtures() {
             "{}: report lost its metric_specs provenance",
             case.name
         );
-        let path = golden_path(case.name);
-        if regen {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &rendered).unwrap();
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-        if rendered != expected {
+        if !matches_golden(case.name, "json", &rendered) {
             mismatches.push(case.name);
         }
     }
@@ -129,6 +171,20 @@ fn cli_json_reports_match_golden_fixtures() {
         mismatches.is_empty(),
         "CLI reports diverged from the golden fixtures for: {mismatches:?} \
          (REGEN_GOLDEN=1 only for deliberate schema/pipeline changes)"
+    );
+}
+
+#[test]
+fn cli_text_reports_match_golden_fixtures() {
+    let mismatches: Vec<&str> = text_cases()
+        .into_iter()
+        .filter(|case| !matches_golden(case.name, "stdout", &run_cli(case.args)))
+        .map(|case| case.name)
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "CLI human reports diverged from the golden fixtures for: {mismatches:?} \
+         (REGEN_GOLDEN=1 only for deliberate output changes)"
     );
 }
 
