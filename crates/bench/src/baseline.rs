@@ -145,10 +145,11 @@ pub struct TimelineCase {
     pub samples: usize,
     /// Points actually emitted (dedup'd grid).
     pub points: usize,
-    /// Streaming sweep (`fairness_timeline`), min wall ns.
+    /// The `timeline:samples=N` metric (one streaming sweep per
+    /// schedule), min wall ns.
     pub streaming_wall_ns_min: u64,
-    /// Naive per-sample recompute (`fairness_timeline_oracle`), min wall
-    /// ns.
+    /// Naive per-sample recompute (`FairnessReport::from_schedules` at
+    /// every sample time), min wall ns.
     pub oracle_wall_ns_min: u64,
     /// `oracle / streaming`.
     pub speedup_vs_oracle: f64,
@@ -866,14 +867,16 @@ pub fn compare_reports(
     Ok(out)
 }
 
-/// Times the streaming timeline sweep against the naive per-sample oracle
-/// on the `fpt:k=8` baseline workload (FairShare vs the exact REF
-/// reference, the same schedules for both evaluators), at growing sample
-/// counts. The streaming rows should stay nearly flat while the oracle's
-/// wall time grows with `samples` — the sub-quadratic scaling evidence.
+/// Times the `timeline` metric against the naive per-sample oracle
+/// (a `FairnessReport` per sample time) on the `fpt:k=8` baseline
+/// workload (FairShare vs the exact REF reference, the same schedules for
+/// both evaluators), at growing sample counts. The streaming rows should
+/// stay nearly flat while the oracle's wall time grows with `samples` —
+/// the sub-quadratic scaling evidence.
 fn measure_timeline(trace: &Trace, runs: usize) -> Vec<TimelineCase> {
-    use fairsched_core::fairness::{fairness_timeline, fairness_timeline_oracle};
+    use fairsched_core::fairness::{timeline_sample_times, FairnessReport};
     use fairsched_core::scheduler::FairShareScheduler;
+    use fairsched_sim::{MetricRegistry, Report};
 
     let horizon = 2_000;
     let options = SimOptions { horizon, validate: false };
@@ -897,34 +900,29 @@ fn measure_timeline(trace: &Trace, runs: usize) -> Vec<TimelineCase> {
     [64usize, 256, 1024]
         .into_iter()
         .map(|samples| {
-            let series = fairness_timeline(
-                trace,
-                &eval.schedule,
-                &reference.schedule,
-                horizon,
-                samples,
-            );
+            let specs = [MetricSpec::bare("timeline").with("samples", samples)];
+            let timeline = || {
+                let registry = MetricRegistry::shared();
+                Report::evaluate(registry, &specs, trace, &eval, Some(&reference))
+                    // lint:allow(panic-free) a registered metric at a valid sample count with its reference; a failure is a bug worth stopping the bench for
+                    .expect("timeline metric evaluates")
+                    .series
+                    .swap_remove(0)
+            };
             let final_unfairness =
-                series.last().map(|p| p.unfairness()).unwrap_or_default();
-            let (streaming_ns, points) = time_min(&|| {
-                fairness_timeline(
-                    trace,
-                    &eval.schedule,
-                    &reference.schedule,
-                    horizon,
-                    samples,
-                )
-                .len()
-            });
+                timeline().final_aggregate().map(|v| v.as_f64()).unwrap_or_default();
+            let (streaming_ns, points) = time_min(&|| timeline().times.len());
             let (oracle_ns, _) = time_min(&|| {
-                fairness_timeline_oracle(
-                    trace,
-                    &eval.schedule,
-                    &reference.schedule,
-                    horizon,
-                    samples,
-                )
-                .len()
+                let times = timeline_sample_times(horizon, samples);
+                for &t in &times {
+                    std::hint::black_box(FairnessReport::from_schedules(
+                        trace,
+                        &eval.schedule,
+                        &reference.schedule,
+                        t,
+                    ));
+                }
+                times.len()
             });
             TimelineCase {
                 name: format!("timeline/k=8/s={samples}"),

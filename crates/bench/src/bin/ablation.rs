@@ -15,15 +15,14 @@
 
 use fairsched_bench::cli::Cli;
 use fairsched_bench::parallel::parallel_map;
-use fairsched_core::fairness::FairnessReport;
-use fairsched_core::scheduler::{
-    DirectContrScheduler, RefScheduler, Scheduler, SchedulerSpec,
-};
+use fairsched_core::model::TraceError;
+use fairsched_core::scheduler::{DirectContrScheduler, RefScheduler, Scheduler};
 use fairsched_core::Trace;
-use fairsched_sim::Simulation;
+use fairsched_sim::{SimError, Simulation};
 use fairsched_workloads::{
     generate, preset, to_trace, MachineSplit, PresetName, SynthConfig,
 };
+use std::process::exit;
 
 type Variant = (&'static str, fn(&Trace, u64) -> Box<dyn Scheduler>);
 
@@ -43,30 +42,31 @@ fn run_block(
     instances: usize,
     base_seed: u64,
     horizon: u64,
-    make_trace: impl Fn(u64) -> Trace + Sync,
+    make_trace: impl Fn(u64) -> Result<Trace, TraceError> + Sync,
 ) {
     println!("\n{label}");
     println!("{:<26}{:>14}{:>14}", "variant", "mean Δψ/p_tot", "max Δψ/p_tot");
     for (name, build) in &variants() {
-        let values: Vec<f64> = parallel_map((0..instances as u64).collect(), |i| {
+        let values = parallel_map((0..instances as u64).collect(), |i| {
             let seed = base_seed.wrapping_add(i);
-            let trace = make_trace(seed);
-            let fair = Simulation::new(&trace)
-                .scheduler_spec(SchedulerSpec::bare("ref"))
-                .horizon(horizon)
-                .run()
-                .expect("REF reference");
+            let trace = make_trace(seed).map_err(SimError::InvalidTrace)?;
             // The bump-off variants are deliberately not registry specs —
             // they exist only for this ablation — so they go through the
-            // session's instance escape hatch.
-            let r = Simulation::new(&trace)
+            // session's instance escape hatch; `delay` runs the (bumped)
+            // REF reference itself.
+            let report = Simulation::new(&trace)
                 .scheduler_instance(build(&trace, seed))
                 .horizon(horizon)
-                .run()
-                .expect("variant run");
-            FairnessReport::from_schedules(&trace, &r.schedule, &fair.schedule, horizon)
-                .unfairness()
+                .metrics(&["delay"])?
+                .run_report()?;
+            // The one column is `delay`: Δψ/p_tot against REF.
+            Ok(report.columns[0].aggregate.as_f64())
         });
+        let values: Vec<f64> =
+            values.into_iter().collect::<Result<_, SimError>>().unwrap_or_else(|e| {
+                eprintln!("{name}: {e}");
+                exit(1)
+            });
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         let max = values.iter().cloned().fold(0.0, f64::max);
         println!("{name:<26}{mean:>14.4}{max:>14.4}");
@@ -96,7 +96,6 @@ fn main() {
             let p = preset(PresetName::LpcEgee, scale, horizon);
             let jobs = generate(&p.synth, seed);
             to_trace(&jobs, orgs, p.synth.n_machines, MachineSplit::Zipf(1.0), seed)
-                .unwrap()
         },
     );
 
@@ -120,7 +119,7 @@ fn main() {
             }
             .unit_jobs();
             let jobs = generate(&config, seed);
-            to_trace(&jobs, orgs, machines, MachineSplit::Equal, seed).unwrap()
+            to_trace(&jobs, orgs, machines, MachineSplit::Equal, seed)
         },
     );
 

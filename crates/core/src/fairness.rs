@@ -8,6 +8,12 @@
 //! `ψ_sp`, the ratio is *the average unjustified delay (or speed-up) of a
 //! job unit caused by the scheduler's unfairness* — the quantity reported in
 //! Tables 1–2 and Figure 10.
+//!
+//! [`FairnessReport`] compares two schedules at one horizon. The
+//! per-moment trajectory Definition 3.1 asks for is the `timeline` metric
+//! of the simulator's metric registry, built on the sample grid
+//! ([`timeline_sample_times`]) and the single-pass sweep
+//! ([`schedule_series`]) defined here.
 
 use crate::model::{OrgId, Time, Trace};
 use crate::schedule::{Schedule, ScheduledJob};
@@ -34,7 +40,14 @@ impl OrgFairness {
     }
 }
 
-/// A fairness report: utilities vs the fair reference, `Δψ` and `Δψ/p_tot`.
+/// A fairness report: utilities vs the fair reference, `Δψ` and `Δψ/p_tot`
+/// at one horizon.
+///
+/// It recomputes `ψ_sp` per entry with [`sp_vector`], independently of the
+/// streaming metrics, so it serves as their oracle: the `delay` metric and
+/// the CLI's `unfairness_vs_ref` are checked against
+/// [`unfairness`](FairnessReport::unfairness) bit for bit. Its `Display`
+/// renders the per-organization comparison the CLI prints.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FairnessReport {
     /// Per-organization rows.
@@ -48,31 +61,6 @@ pub struct FairnessReport {
 }
 
 impl FairnessReport {
-    /// Builds a report from utility vectors.
-    ///
-    /// # Panics
-    /// Panics if vector lengths disagree with the trace.
-    pub fn from_vectors(
-        trace: &Trace,
-        psi: &[Util],
-        psi_ref: &[Util],
-        p_tot: Time,
-        horizon: Time,
-    ) -> Self {
-        assert_eq!(psi.len(), trace.n_orgs());
-        assert_eq!(psi_ref.len(), trace.n_orgs());
-        let per_org: Vec<OrgFairness> = (0..trace.n_orgs())
-            .map(|u| OrgFairness {
-                org: OrgId(u as u32),
-                name: trace.orgs()[u].name.clone(),
-                utility: psi[u],
-                reference: psi_ref[u],
-            })
-            .collect();
-        let delta_psi = per_org.iter().map(|o| o.deviation().abs()).sum();
-        FairnessReport { per_org, delta_psi, p_tot, horizon }
-    }
-
     /// Builds a report by evaluating `ψ_sp` on two schedules at `horizon`.
     pub fn from_schedules(
         trace: &Trace,
@@ -82,33 +70,23 @@ impl FairnessReport {
     ) -> Self {
         let psi = sp_vector(trace, schedule, horizon);
         let psi_ref = sp_vector(trace, reference, horizon);
+        let per_org: Vec<OrgFairness> = trace
+            .orgs()
+            .iter()
+            .enumerate()
+            .map(|(u, org)| OrgFairness {
+                org: OrgId(u as u32),
+                name: org.name.clone(),
+                utility: psi[u],
+                reference: psi_ref[u],
+            })
+            .collect();
+        let delta_psi = per_org.iter().map(|o| o.deviation().abs()).sum();
         let p_tot = reference.completed_units(horizon);
-        Self::from_vectors(trace, &psi, &psi_ref, p_tot, horizon)
+        FairnessReport { per_org, delta_psi, p_tot, horizon }
     }
 
     /// The headline metric `Δψ / p_tot` (0 when nothing completed).
-    pub fn unfairness(&self) -> f64 {
-        if self.p_tot == 0 {
-            0.0
-        } else {
-            self.delta_psi as f64 / self.p_tot as f64
-        }
-    }
-}
-
-/// A point of the unfairness time series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FairnessPoint {
-    /// Sample time.
-    pub t: Time,
-    /// `Δψ(t) = ‖ψ(t) − ψ*(t)‖₁`.
-    pub delta_psi: Util,
-    /// Units completed in the reference schedule by `t`.
-    pub p_tot: Time,
-}
-
-impl FairnessPoint {
-    /// `Δψ(t)/p_tot(t)` (0 when nothing completed).
     pub fn unfairness(&self) -> f64 {
         if self.p_tot == 0 {
             0.0
@@ -333,76 +311,6 @@ pub fn schedule_series(
     ScheduleSeries { times: times.to_vec(), psi, units, stats }
 }
 
-/// The unfairness time series `Δψ(t)/p_tot(t)` at up to `samples` evenly
-/// spaced times in `(0, horizon]` (the dedup'd grid of
-/// [`timeline_sample_times`] — strictly increasing, strictly positive,
-/// ending exactly at `horizon`).
-///
-/// Definition 3.1 requires fairness *at every time moment*, not just
-/// asymptotically ("we want to avoid the case in which an organization is
-/// disfavored in one, possibly long, time period and then favored in the
-/// next one"); this timeline makes a scheduler's responsiveness visible.
-///
-/// Evaluated by the streaming sweep of [`schedule_series`]: one pass over
-/// each schedule's entries, `O(E log E + samples·orgs)`, bit-identical to
-/// the naive per-sample recompute kept as [`fairness_timeline_oracle`].
-/// The final point always equals
-/// [`FairnessReport::from_schedules`]`(…, horizon)` on `delta_psi`/`p_tot`.
-///
-/// # Panics
-/// Panics if `samples == 0`. Spec-addressed consumers (the `timeline`
-/// metric family) validate the sample count first and surface a typed
-/// error instead of this contract panic.
-pub fn fairness_timeline(
-    trace: &Trace,
-    schedule: &Schedule,
-    reference: &Schedule,
-    horizon: Time,
-    samples: usize,
-) -> Vec<FairnessPoint> {
-    assert!(samples > 0, "need at least one sample");
-    let times = timeline_sample_times(horizon, samples);
-    let eval = schedule_series(trace, schedule, &times);
-    let refs = schedule_series(trace, reference, &times);
-    times
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| FairnessPoint {
-            t,
-            delta_psi: eval.psi[i]
-                .iter()
-                .zip(&refs.psi[i])
-                .map(|(a, b)| (a - b).abs())
-                .sum(),
-            p_tot: refs.units[i].iter().sum(),
-        })
-        .collect()
-}
-
-/// The naive per-sample recompute of [`fairness_timeline`]: a fresh
-/// `sp_vector` + [`Schedule::completed_units`] per sample time,
-/// `O(samples·E)`. Kept as the property-test oracle (the streaming sweep
-/// is pinned bit-identical to it) and as the scaling baseline the bench
-/// trajectory rows time against.
-pub fn fairness_timeline_oracle(
-    trace: &Trace,
-    schedule: &Schedule,
-    reference: &Schedule,
-    horizon: Time,
-    samples: usize,
-) -> Vec<FairnessPoint> {
-    assert!(samples > 0, "need at least one sample");
-    timeline_sample_times(horizon, samples)
-        .into_iter()
-        .map(|t| {
-            let psi = sp_vector(trace, schedule, t);
-            let psi_ref = sp_vector(trace, reference, t);
-            let delta_psi = psi.iter().zip(&psi_ref).map(|(a, b)| (a - b).abs()).sum();
-            FairnessPoint { t, delta_psi, p_tot: reference.completed_units(t) }
-        })
-        .collect()
-}
-
 impl fmt::Display for FairnessReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -456,6 +364,45 @@ mod tests {
             .collect()
     }
 
+    /// `(t, Δψ(t), p_tot(t))` on the sample grid, from one streaming
+    /// sweep per schedule.
+    fn streamed(
+        trace: &Trace,
+        eval: &Schedule,
+        reference: &Schedule,
+        horizon: Time,
+        samples: usize,
+    ) -> Vec<(Time, Util, Time)> {
+        let times = timeline_sample_times(horizon, samples);
+        let e = schedule_series(trace, eval, &times);
+        let r = schedule_series(trace, reference, &times);
+        (0..times.len())
+            .map(|i| {
+                let delta = e.psi[i].iter().zip(&r.psi[i]).map(|(a, b)| (a - b).abs());
+                (times[i], delta.sum(), r.units[i].iter().sum())
+            })
+            .collect()
+    }
+
+    /// The same triples recomputed per sample time with [`sp_vector`] and
+    /// [`Schedule::completed_units`].
+    fn recomputed(
+        trace: &Trace,
+        eval: &Schedule,
+        reference: &Schedule,
+        horizon: Time,
+        samples: usize,
+    ) -> Vec<(Time, Util, Time)> {
+        timeline_sample_times(horizon, samples)
+            .into_iter()
+            .map(|t| {
+                let (e, r) = (sp_vector(trace, eval, t), sp_vector(trace, reference, t));
+                let delta = e.iter().zip(&r).map(|(a, b)| (a - b).abs()).sum();
+                (t, delta, reference.completed_units(t))
+            })
+            .collect()
+    }
+
     #[test]
     fn identical_schedules_are_perfectly_fair() {
         let t = trace2();
@@ -494,23 +441,14 @@ mod tests {
         let t = trace2();
         let reference = sched(&[(0, 0, 0, 0, 2), (1, 1, 1, 0, 2)]);
         let eval = sched(&[(0, 0, 0, 0, 2), (1, 1, 0, 2, 2)]);
-        let series = fairness_timeline(&t, &eval, &reference, 8, 4);
+        let series = streamed(&t, &eval, &reference, 8, 4);
         assert_eq!(series.len(), 4);
-        assert_eq!(series[0].t, 2);
-        assert_eq!(series[3].t, 8);
+        assert_eq!(series[0].0, 2);
+        assert_eq!(series[3].0, 8);
         // Unfairness accumulates while org b's units are delayed.
-        assert!(series[3].delta_psi >= series[0].delta_psi);
-        // At the end: 4 (two units delayed 2 each).
-        assert_eq!(series[3].delta_psi, 4);
-        assert!(series[3].unfairness() > 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn timeline_rejects_zero_samples() {
-        let t = trace2();
-        let s = Schedule::new();
-        let _ = fairness_timeline(&t, &s, &s, 10, 0);
+        assert!(series[3].1 >= series[0].1);
+        // At the end: 4 (two units delayed 2 each), over 4 reference units.
+        assert_eq!((series[3].1, series[3].2), (4, 4));
     }
 
     #[test]
@@ -559,27 +497,23 @@ mod tests {
         let t = trace2();
         let reference = sched(&[(0, 0, 0, 0, 2), (1, 1, 1, 0, 2)]);
         let eval = sched(&[(0, 0, 0, 0, 2), (1, 1, 0, 2, 2)]);
-        let series = fairness_timeline(&t, &eval, &reference, horizon, 4);
+        let series = streamed(&t, &eval, &reference, horizon, 4);
         assert_eq!(series.len(), 4);
         // Everything completed long ago: Δψ is the terminal 4, p_tot the
         // full 4 units, at every huge sample time.
-        for p in &series {
-            assert_eq!(p.delta_psi, 4);
-            assert_eq!(p.p_tot, 4);
+        for &(_, delta_psi, p_tot) in &series {
+            assert_eq!((delta_psi, p_tot), (4, 4));
         }
         let report = FairnessReport::from_schedules(&t, &eval, &reference, horizon);
-        let last = series.last().unwrap();
-        assert_eq!(last.t, horizon);
-        assert_eq!(last.delta_psi, report.delta_psi);
-        assert_eq!(last.p_tot, report.p_tot);
+        assert_eq!(series.last(), Some(&(horizon, report.delta_psi, report.p_tot)));
     }
 
     /// Regression: the Δ-space accumulators must handle entries that
     /// start near `Time::MAX` and are still *running* at the sampled
     /// times (an absolute-time formulation would square `s` or `t` and
     /// overflow `Util` even though the true values are tiny). The honest
-    /// pin is bit-identity with the naive oracle, which never leaves the
-    /// per-entry closed form.
+    /// pin is bit-identity with the per-sample recompute, which never
+    /// leaves the per-entry closed form.
     #[test]
     fn timeline_handles_running_entries_near_max_times() {
         let t = trace2();
@@ -588,14 +522,14 @@ mod tests {
         // end of time and runs past it (completion overflows Time).
         let eval = sched(&[(0, 0, 0, 0, 2), (1, 1, 1, Time::MAX - 100, 200)]);
         let reference = sched(&[(0, 0, 0, 0, 2), (1, 1, 1, Time::MAX - 150, 200)]);
-        let fast = fairness_timeline(&t, &eval, &reference, horizon, 4);
-        let naive = fairness_timeline_oracle(&t, &eval, &reference, horizon, 4);
+        let fast = streamed(&t, &eval, &reference, horizon, 4);
+        let naive = recomputed(&t, &eval, &reference, horizon, 4);
         assert_eq!(fast, naive);
         // At t = MAX, org b has executed 100 units (delayed 50 vs the
         // reference's 150): ψ gaps of a delayed part are per-slot exact.
-        let last = fast.last().unwrap();
-        assert_eq!(last.t, horizon);
-        assert!(last.delta_psi > 0);
+        let &(last_t, last_delta, _) = fast.last().unwrap();
+        assert_eq!(last_t, horizon);
+        assert!(last_delta > 0);
     }
 
     #[test]
@@ -604,13 +538,9 @@ mod tests {
         let reference = sched(&[(0, 0, 0, 0, 2), (1, 1, 1, 0, 2)]);
         let eval = sched(&[(0, 0, 0, 0, 2), (1, 1, 0, 2, 2)]);
         for (horizon, samples) in [(10u64, 5usize), (3, 17), (7, 1), (100, 64)] {
-            let series = fairness_timeline(&t, &eval, &reference, horizon, samples);
+            let series = streamed(&t, &eval, &reference, horizon, samples);
             let report = FairnessReport::from_schedules(&t, &eval, &reference, horizon);
-            let last = series.last().expect("positive horizon yields points");
-            assert_eq!(last.t, horizon);
-            assert_eq!(last.delta_psi, report.delta_psi);
-            assert_eq!(last.p_tot, report.p_tot);
-            assert_eq!(last.unfairness().to_bits(), report.unfairness().to_bits());
+            assert_eq!(series.last(), Some(&(horizon, report.delta_psi, report.p_tot)));
         }
     }
 
@@ -633,8 +563,8 @@ mod tests {
     }
 
     proptest! {
-        /// The streaming sweep is bit-identical to the naive per-sample
-        /// oracle on random traces and (possibly partial, overlapping)
+        /// The streaming sweep is bit-identical to the per-sample
+        /// `sp_vector` / `completed_units` recompute on random traces and (possibly partial, overlapping)
         /// schedules, for any horizon/sample-count combination.
         #[test]
         fn prop_streaming_timeline_matches_oracle(
@@ -680,9 +610,8 @@ mod tests {
             };
             let eval = build(1, skip);
             let reference = build(0, 0);
-            let fast = fairness_timeline(&trace, &eval, &reference, horizon, samples);
-            let naive =
-                fairness_timeline_oracle(&trace, &eval, &reference, horizon, samples);
+            let fast = streamed(&trace, &eval, &reference, horizon, samples);
+            let naive = recomputed(&trace, &eval, &reference, horizon, samples);
             prop_assert_eq!(&fast, &naive);
             // And the per-org series agree with sp_vector at every time.
             let times = timeline_sample_times(horizon, samples);

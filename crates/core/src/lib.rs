@@ -38,7 +38,8 @@
 //!   [`scheduler::registry`], which downstream crates extend with their
 //!   own policies via [`scheduler::registry::Registry::register`].
 //! * [`fairness`] — the evaluation metric `Δψ/p_tot` of Section 7.2 and
-//!   the per-moment unfairness timeline.
+//!   the sample grid and single-pass sweep behind the per-moment
+//!   `timeline` metric of the simulator's metric registry.
 //! * [`checked_time`] — widening/saturating arithmetic on [`Time`]
 //!   values, the vocabulary the `time-arith-widening` lint rule approves.
 //! * [`journal`] — the crash-safe filesystem primitives (atomic

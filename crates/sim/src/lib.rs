@@ -43,7 +43,7 @@ mod cluster;
 mod engine;
 pub mod exhaustive;
 pub mod gantt;
-pub mod metrics;
+mod metrics;
 pub mod report;
 pub mod session;
 pub mod stepper;

@@ -1,12 +1,14 @@
-//! Schedule metrics beyond `ψ_sp`: per-organization flow time, waiting
-//! time, stretch, and utilization breakdowns.
+//! Per-organization counts of a schedule at a horizon (completed jobs,
+//! flow and waiting time, stretch, executed units): the one sweep behind
+//! the `completed`, `flow`, `waiting`, `units`, `stretch` and
+//! `utilization` metric factories of [`crate::report`].
 
 use fairsched_core::model::{OrgId, Time, Trace};
 use fairsched_core::schedule::Schedule;
 
 /// Per-organization aggregate metrics of a (partial) schedule at a horizon.
 #[derive(Clone, Debug, PartialEq)]
-pub struct OrgMetrics {
+pub(crate) struct OrgMetrics {
     /// The organization.
     pub org: OrgId,
     /// Completed jobs.
@@ -22,7 +24,11 @@ pub struct OrgMetrics {
 }
 
 /// Computes [`OrgMetrics`] for every organization.
-pub fn org_metrics(trace: &Trace, schedule: &Schedule, horizon: Time) -> Vec<OrgMetrics> {
+pub(crate) fn org_metrics(
+    trace: &Trace,
+    schedule: &Schedule,
+    horizon: Time,
+) -> Vec<OrgMetrics> {
     let mut out: Vec<OrgMetrics> = (0..trace.n_orgs())
         .map(|u| OrgMetrics {
             org: OrgId(u as u32),
@@ -54,19 +60,6 @@ pub fn org_metrics(trace: &Trace, schedule: &Schedule, horizon: Time) -> Vec<Org
         }
     }
     out
-}
-
-/// The machine-time upper bound on completed units by `horizon`:
-/// `min(m·horizon, Σ_j min(p_j, horizon − r_j))`. No schedule — greedy or
-/// not — can complete more; used to bound optimal utilization in the
-/// Theorem 6.2 experiments.
-pub fn units_upper_bound(trace: &Trace, n_machines: usize, horizon: Time) -> Time {
-    let work: Time = trace
-        .jobs()
-        .iter()
-        .map(|j| j.proc_time.min(horizon.saturating_sub(j.release)))
-        .sum();
-    work.min((n_machines as Time).saturating_mul(horizon))
 }
 
 #[cfg(test)]
@@ -109,17 +102,5 @@ mod tests {
         let m = org_metrics(&trace, &schedule, 2);
         assert_eq!(m[0].completed, 0);
         assert_eq!(m[0].units, 2);
-    }
-
-    #[test]
-    fn upper_bound_formula() {
-        let (trace, _) = run();
-        // horizon 3: job a contributes min(4,3)=3; job b min(2,2)=2 -> 5,
-        // capped by 2 machines * 3 = 6 -> 5.
-        assert_eq!(units_upper_bound(&trace, 2, 3), 5);
-        // horizon 1: a: 1, b: 0 -> 1, cap 2 -> 1.
-        assert_eq!(units_upper_bound(&trace, 2, 1), 1);
-        // tiny machine cap.
-        assert_eq!(units_upper_bound(&trace, 1, 3), 3);
     }
 }

@@ -60,7 +60,9 @@
 //! family streams `ψ/ψ*/p_tot` through the dedup'd sample grid of
 //! [`fairsched_core::fairness::timeline_sample_times`] in a single pass
 //! over the schedule entries (`O(entries + samples·orgs)`); every sink
-//! carries series alongside scalar columns.
+//! carries series alongside scalar columns. It is the library's one
+//! fairness trajectory; [`fairsched_core::fairness::FairnessReport`]
+//! evaluated per sample time is its independent recompute.
 
 use crate::engine::SimResult;
 use crate::metrics::org_metrics;
@@ -1979,9 +1981,9 @@ mod tests {
         (trace, eval, reference)
     }
 
-    /// The historical `fairness_timeline` path panicked on `samples == 0`
-    /// (and a non-numeric count never reached it); the spec-addressed
-    /// family stays typed end to end.
+    /// The core sample grid panics on `samples == 0` (and a non-numeric
+    /// count never reaches it); the spec-addressed family stays typed end
+    /// to end.
     #[test]
     fn timeline_bad_params_are_typed_errors_not_panics() {
         let (trace, eval, reference) = ref_context();

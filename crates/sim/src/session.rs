@@ -280,13 +280,13 @@ enum Source<'a> {
 ///
 /// Defaults: horizon = [`Trace::completion_horizon`] (run to completion),
 /// `validate = false`, `seed = 0`, scheduler resolution through
-/// [`Registry::shared`], workload resolution through
-/// [`WorkloadRegistry::shared`]. See the [module docs](self) for examples.
+/// [`Registry::shared`]. Workload and metric specs always resolve through
+/// [`WorkloadRegistry::shared`] and [`MetricRegistry::shared`]; metrics
+/// from a custom registry are evaluated with [`Report::evaluate`]. See the
+/// [module docs](self) for examples.
 pub struct Simulation<'a> {
     source: Source<'a>,
     registry: Option<&'a Registry>,
-    workloads: Option<&'a WorkloadRegistry>,
-    metrics_registry: Option<&'a MetricRegistry>,
     metrics: Vec<MetricSpec>,
     chosen: Chosen,
     horizon: Option<Time>,
@@ -311,20 +311,12 @@ impl Simulation<'static> {
         Simulation {
             source: Source::None,
             registry: None,
-            workloads: None,
-            metrics_registry: None,
             metrics: Vec::new(),
             chosen: Chosen::None,
             horizon: None,
             validate: false,
             seed: 0,
         }
-    }
-
-    /// A session over a registered workload, by spec string — shorthand
-    /// for `Simulation::session().workload(spec)`.
-    pub fn from_workload(spec: &str) -> Result<Self, SimError> {
-        Simulation::session().workload(spec)
     }
 }
 
@@ -351,13 +343,6 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Resolves workload spec names through `registry` instead of
-    /// [`WorkloadRegistry::shared`].
-    pub fn workload_registry(mut self, registry: &'a WorkloadRegistry) -> Self {
-        self.workloads = Some(registry);
-        self
-    }
-
     /// Chooses the metrics the report-producing runs
     /// ([`run_report`](Simulation::run_report),
     /// [`run_matrix_reports`](Simulation::run_matrix_reports),
@@ -377,13 +362,6 @@ impl<'a> Simulation<'a> {
     /// Chooses the metrics by parsed specs.
     pub fn metric_specs(mut self, specs: Vec<MetricSpec>) -> Self {
         self.metrics = specs;
-        self
-    }
-
-    /// Resolves metric spec names through `registry` instead of
-    /// [`MetricRegistry::shared`].
-    pub fn metric_registry(mut self, registry: &'a MetricRegistry) -> Self {
-        self.metrics_registry = Some(registry);
         self
     }
 
@@ -451,16 +429,6 @@ impl<'a> Simulation<'a> {
         self.registry.unwrap_or_else(|| Registry::shared())
     }
 
-    /// Likewise for workload specs.
-    fn resolve_workloads(&self) -> &'a WorkloadRegistry {
-        self.workloads.unwrap_or_else(|| WorkloadRegistry::shared())
-    }
-
-    /// Likewise for metric specs.
-    fn resolve_metrics(&self) -> &'a MetricRegistry {
-        self.metrics_registry.unwrap_or_else(|| MetricRegistry::shared())
-    }
-
     /// The metric specs report runs evaluate: the chosen ones, or
     /// [`DEFAULT_REPORT_METRICS`].
     fn effective_metrics(&self) -> Vec<MetricSpec> {
@@ -490,7 +458,7 @@ impl<'a> Simulation<'a> {
             Source::Trace(t) => Ok(Cow::Borrowed(*t)),
             Source::Workload(spec) => {
                 let ctx = WorkloadContext { seed: self.seed };
-                Ok(Cow::Owned(self.resolve_workloads().build(spec, &ctx)?))
+                Ok(Cow::Owned(WorkloadRegistry::shared().build(spec, &ctx)?))
             }
         }
     }
@@ -528,10 +496,10 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Opens the [`ReportRow`] of this session's settings (registries,
-    /// metrics, horizon, validation, seed) over `trace`: the unit every
-    /// report-producing run — this session's own, and the durable
-    /// experiment runner's — computes through. `workload` is the
+    /// Opens the [`ReportRow`] of this session's settings (scheduler
+    /// registry, metrics, horizon, validation, seed) over `trace`: the
+    /// unit every report-producing run — this session's own, and the
+    /// durable experiment runner's — computes through. `workload` is the
     /// provenance stamped on the row's reports. Any scheduler chosen on
     /// the session is ignored; the row is asked per spec.
     pub fn report_row<'r>(
@@ -542,17 +510,15 @@ impl<'a> Simulation<'a> {
     where
         'a: 'r,
     {
-        let metric_registry = self.resolve_metrics();
         let metric_specs = self.effective_metrics();
         // Unknown metric names need no reference here; they fail typedly
         // at evaluation.
         let needs_reference = metric_specs.iter().any(|spec| {
-            metric_registry.get(spec.name()).is_some_and(|f| f.needs_reference())
+            MetricRegistry::shared().get(spec.name()).is_some_and(|f| f.needs_reference())
         });
         ReportRow {
             trace,
             registry: self.resolve_registry(),
-            metric_registry,
             needs_reference,
             metric_specs,
             options: self.options_for(trace),
@@ -590,7 +556,7 @@ impl<'a> Simulation<'a> {
         schedulers: &[SchedulerSpec],
     ) -> Vec<ReportCell> {
         let ctx = WorkloadContext { seed: self.seed };
-        let registry = self.resolve_workloads();
+        let registry = WorkloadRegistry::shared();
         let mut cells = Vec::with_capacity(workloads.len() * schedulers.len());
         for wspec in workloads {
             let trace = registry.build(wspec, &ctx);
@@ -642,7 +608,6 @@ fn is_reference_spec(spec: &SchedulerSpec) -> bool {
 pub struct ReportRow<'r> {
     trace: &'r Trace,
     registry: &'r Registry,
-    metric_registry: &'r MetricRegistry,
     metric_specs: Vec<MetricSpec>,
     needs_reference: bool,
     options: SimOptions,
@@ -689,7 +654,7 @@ impl ReportRow<'_> {
         let result = result?;
         let reference = if self.needs_reference { Some(self.reference()?) } else { None };
         let mut report = Report::evaluate(
-            self.metric_registry,
+            MetricRegistry::shared(),
             &self.metric_specs,
             self.trace,
             &result,
@@ -878,7 +843,8 @@ mod tests {
             .seed(9)
             .run()
             .unwrap();
-        let via_spec = Simulation::from_workload("fpt:k=2")
+        let via_spec = Simulation::session()
+            .workload("fpt:k=2")
             .unwrap()
             .scheduler("roundrobin")
             .unwrap()

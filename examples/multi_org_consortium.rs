@@ -11,7 +11,7 @@
 //! `cargo run --release --example multi_org_consortium`
 
 use fairsched::core::fairness::FairnessReport;
-use fairsched::sim::{SimError, Simulation};
+use fairsched::sim::{MetricRegistry, Report, SimError, Simulation};
 use fairsched::workloads::{WorkloadContext, WorkloadRegistry};
 
 fn main() -> Result<(), SimError> {
@@ -76,7 +76,9 @@ fn main() -> Result<(), SimError> {
         }
     }
     // Responsiveness: Definition 3.1 demands fairness at *every* moment.
-    // The timeline shows how unfairness accumulates under each philosophy.
+    // The `timeline` metric shows how unfairness accumulates under each
+    // philosophy.
+    let timeline = ["timeline:samples=8".parse()?];
     println!("\nunfairness over time (Δψ(t)/p_tot(t), sampled at 8 points):");
     print!("{:<16}", "t =");
     for i in 1..=8u64 {
@@ -85,16 +87,16 @@ fn main() -> Result<(), SimError> {
     println!();
     for (name, r, _) in &results {
         if name == "RoundRobin" || name == "FairShare" || name == "DirectContr" {
-            let series = fairsched::core::fairness::fairness_timeline(
+            let report = Report::evaluate(
+                MetricRegistry::shared(),
+                &timeline,
                 &trace,
-                &r.schedule,
-                &fair.schedule,
-                horizon,
-                8,
-            );
+                r,
+                Some(&fair),
+            )?;
             print!("{name:<16}");
-            for p in &series {
-                print!("{:>9.2}", p.unfairness());
+            for point in &report.series[0].aggregate {
+                print!("{:>9.2}", point.as_f64());
             }
             println!();
         }

@@ -221,8 +221,8 @@ inject deterministic faults (see docs/EXPERIMENTS.md).",
     }
 }
 
-/// Splits `args` into `--key value` options and bare `--flag` flags (the
-/// same shape `main` parses inline), bailing to `usage` on a positional.
+/// Splits `args` into `--key value` options and bare `--flag` flags,
+/// bailing to `usage` on a positional.
 fn parse_flags(
     args: &[String],
     usage: fn() -> !,
@@ -448,23 +448,7 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    let mut opts: HashMap<String, String> = HashMap::new();
-    let mut flags: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                opts.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.push(key.to_string());
-                i += 1;
-            }
-        } else {
-            eprintln!("unexpected argument {:?}", args[i]);
-            usage();
-        }
-    }
+    let (opts, flags) = parse_flags(&args, usage);
     let get = |k: &str, d: &str| opts.get(k).cloned().unwrap_or_else(|| d.to_string());
     let has = |k: &str| flags.iter().any(|f| f == k);
 
@@ -508,6 +492,10 @@ fn main() {
     } else if let Some(path) = opts.get("swf") {
         let start: u64 = get("window-start", "0").parse().unwrap_or_else(|_| usage());
         let machines: usize = get("machines", "64").parse().unwrap_or_else(|_| usage());
+        let Some(end) = start.checked_add(horizon) else {
+            eprintln!("--window-start {start} plus --horizon {horizon} overflows the window end");
+            exit(1)
+        };
         if path.contains([',', '=']) {
             eprintln!("--swf path {path:?} contains ',' or '=' (unrepresentable in a workload spec)");
             exit(1)
@@ -515,7 +503,7 @@ fn main() {
         let mut spec = WorkloadSpec::bare("swf")
             .with("path", path)
             .with("start", start)
-            .with("end", start + horizon)
+            .with("end", end)
             .with("machines", machines)
             .with("orgs", orgs);
         if matches!(split, MachineSplit::Uniform) {

@@ -90,9 +90,12 @@
 //! `conformance_specs` the workspace conformance suite exercises
 //! automatically) plus the axis's build trait —
 //! [`core::scheduler::SchedulerFactory`], [`workloads::WorkloadFactory`]
-//! or [`sim::MetricFactory`] — and [`core::spec::Registry::register`] it:
-//! every consumer (CLI, bench tables, sessions) picks it up by spec
-//! string.
+//! or [`sim::MetricFactory`] — and [`core::spec::Registry::register`] it
+//! in a registry of your own. Sessions resolve workloads and metrics
+//! through the shared built-in registries; your registry is used through
+//! [`sim::Report::evaluate`] for metrics, [`sim::Simulation::registry`]
+//! for schedulers, and its own `build` for workloads (hand the trace to
+//! [`sim::Simulation::new`]).
 
 pub use coopgame;
 pub use fairsched_core as core;

@@ -9,12 +9,11 @@
 //!   `FairnessReport::from_schedules(..).unfairness()` inlined in
 //!   `runner.rs`);
 //! * the CLI's per-organization numbers (previously ad-hoc
-//!   `OrgMetrics` fields).
+//!   `OrgMetrics` fields, recomputed here from the schedule entries).
 
 use fairsched::core::fairness::FairnessReport;
 use fairsched::core::scheduler::registry::{Registry, SchedulerSpec};
 use fairsched::core::Trace;
-use fairsched::sim::metrics::org_metrics;
 use fairsched::sim::report::{MetricRegistry, MetricValue, Report};
 use fairsched::sim::Simulation;
 use fairsched::workloads::spec::{WorkloadContext, WorkloadRegistry};
@@ -85,7 +84,8 @@ fn bench_runner_delay_is_bit_identical_to_the_old_path() {
 
 /// Session reports carry the same per-organization numbers the CLI's
 /// bespoke `OrgMetrics`-based JSON used to: completed / flow / waiting /
-/// ψ, bit for bit, plus the `Δψ/p_tot` aggregate.
+/// stretch (recomputed here from the schedule entries) and ψ, bit for
+/// bit, plus the `Δψ/p_tot` aggregate.
 #[test]
 fn grid_and_session_reports_match_org_metrics_bit_for_bit() {
     let trace = bench_family_trace(SEED);
@@ -113,29 +113,39 @@ fn grid_and_session_reports_match_org_metrics_bit_for_bit() {
         .seed(SEED)
         .run()
         .unwrap();
-    let old_metrics = org_metrics(&trace, &result.schedule, HORIZON);
     let old_fairness =
         FairnessReport::from_schedules(&trace, &result.schedule, &fair.schedule, HORIZON);
 
-    for (u, om) in old_metrics.iter().enumerate() {
-        assert_eq!(
-            report.column("completed").unwrap().per_org[u],
-            MetricValue::Int(om.completed as i128)
-        );
-        assert_eq!(
-            report.column("flow").unwrap().per_org[u],
-            MetricValue::Int(om.flow_time as i128)
-        );
-        assert_eq!(
-            report.column("waiting").unwrap().per_org[u],
-            MetricValue::Int(om.waiting_time as i128)
-        );
+    // Completed jobs, flow, waiting and stretch sums per organization.
+    let n = trace.n_orgs();
+    let (mut completed, mut flow, mut waiting) =
+        (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+    let mut stretch = vec![0.0f64; n];
+    for e in result.schedule.entries() {
+        let (u, release) = (e.org.index(), trace.job(e.job).release);
+        if e.start <= HORIZON {
+            waiting[u] += e.start - release;
+        }
+        if e.completion() <= HORIZON {
+            completed[u] += 1;
+            flow[u] += e.completion() - release;
+            stretch[u] += (e.completion() - release) as f64 / e.proc_time as f64;
+        }
+    }
+
+    for u in 0..n {
+        let int = |v: u64| MetricValue::Int(v as i128);
+        assert_eq!(report.column("completed").unwrap().per_org[u], int(completed[u]));
+        assert_eq!(report.column("flow").unwrap().per_org[u], int(flow[u]));
+        assert_eq!(report.column("waiting").unwrap().per_org[u], int(waiting[u]));
         assert_eq!(
             report.column("psi").unwrap().per_org[u],
             MetricValue::Int(result.psi[u])
         );
+        let mean_stretch =
+            if completed[u] > 0 { stretch[u] / completed[u] as f64 } else { 0.0 };
         match report.column("stretch").unwrap().per_org[u] {
-            MetricValue::Float(v) => assert_eq!(v.to_bits(), om.mean_stretch.to_bits()),
+            MetricValue::Float(v) => assert_eq!(v.to_bits(), mean_stretch.to_bits()),
             ref other => panic!("stretch must be a float, got {other:?}"),
         }
     }

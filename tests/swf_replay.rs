@@ -176,3 +176,16 @@ fn missing_log_is_a_typed_error() {
         )
     );
 }
+
+/// A window start near `u64::MAX` makes `start + horizon` overflow: exit
+/// 1 with a message naming both flags, not a panic or an error about a
+/// `swf:end` the user never wrote.
+#[test]
+fn window_end_overflow_is_a_typed_error() {
+    let max = u64::MAX.to_string();
+    let output = fairsched(&["--swf", sample_swf_path(), "--window-start", &max]);
+    assert_eq!(
+        typed_error(&output),
+        format!("--window-start {max} plus --horizon 20000 overflows the window end\n")
+    );
+}
