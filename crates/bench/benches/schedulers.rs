@@ -5,7 +5,7 @@
 //! and RAND showing their exponential/sampling surcharges.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fairsched_bench::runner::Algo;
+use fairsched_core::scheduler::registry::{BuildContext, Registry};
 use fairsched_core::scheduler::RefScheduler;
 use fairsched_sim::{run_scheduler, SimOptions};
 use fairsched_workloads::{generate, preset, to_trace, MachineSplit, PresetName};
@@ -20,19 +20,21 @@ fn bench_schedulers(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("simulate_lpc_half_scale");
     group.sample_size(20);
-    for algo in [
-        Algo::RoundRobin,
-        Algo::Fifo,
-        Algo::FairShare,
-        Algo::UtFairShare,
-        Algo::CurrFairShare,
-        Algo::DirectContr,
-        Algo::Rand(15),
-        Algo::Rand(75),
+    for spec in [
+        "roundrobin",
+        "fifo",
+        "fairshare",
+        "utfairshare",
+        "currfairshare",
+        "directcontr",
+        "rand:perms=15",
+        "rand:perms=75",
     ] {
-        group.bench_function(algo.label(), |b| {
+        group.bench_function(spec, |b| {
             b.iter(|| {
-                let mut s = algo.build(&trace, 3);
+                let mut s = Registry::shared()
+                    .build_str(spec, &BuildContext { trace: &trace, seed: 3 })
+                    .unwrap();
                 black_box(run_scheduler(
                     &trace,
                     s.as_mut(),

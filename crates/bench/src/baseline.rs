@@ -973,8 +973,12 @@ mod tests {
         assert!(report.summary.speedup_vs_reference > 0.0);
         // The parser is linear in document size: a 16× larger document
         // costs the same per byte (a quadratic one would show 16× here).
+        // One sample is at the mercy of a noisy neighbour, so the ratio
+        // takes each row's minimum over several.
+        assert!(report.cases.iter().any(|c| c.name == "json/parse/1m"));
+        let codec_rows = run_json_codec(3);
         let ns_per_byte = |name: &str| {
-            let c = report.cases.iter().find(|c| c.name == name).expect(name);
+            let c = codec_rows.iter().find(|c| c.name == name).expect(name);
             c.wall_ns_min as f64 / c.engine_events as f64
         };
         let (small, large) =

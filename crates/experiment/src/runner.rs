@@ -6,7 +6,7 @@
 //! them):
 //!
 //! 1. **Atomic commits.** Every file the runner produces — the spec
-//!    snapshot, each cell, the three final report sinks — is written to a
+//!    snapshot, each cell, the six final sinks — is written to a
 //!    `*.tmp` scratch file and `rename`d into place, so a crash leaves
 //!    either the old state or the new state, never a torn file. The
 //!    journal is append-only and its reader tolerates a torn final line.
@@ -19,7 +19,8 @@
 //!    *encoded* cells — freshly computed cells are round-tripped through
 //!    the same [`encode_cell`]/[`decode_cell`] pair that resume uses — so
 //!    an interrupted-and-resumed run emits byte-identical
-//!    `report.{json,csv,txt}` to an uninterrupted one by construction.
+//!    `report.{json,csv,txt}` and `summary.{json,csv,txt}` to an
+//!    uninterrupted one by construction.
 //!
 //! Computation is shared per grid *row* — the consecutive cells that
 //! differ only in their scheduler build one trace and run the REF
@@ -36,6 +37,7 @@ use crate::failpoint::{Fault, FaultPlan};
 use crate::journal::{self, Journal, JournalEntry};
 use crate::spec::{ExperimentSpec, SpecLoadError};
 use fairsched_core::Trace;
+use fairsched_sim::report::{csv_field, LabeledStat, SummaryTable};
 use fairsched_sim::{Report, ReportRow, SimError, Simulation};
 use fairsched_workloads::spec::{WorkloadContext, WorkloadRegistry};
 use serde::Value;
@@ -88,7 +90,7 @@ pub struct StatusSummary {
     pub journal_truncated: bool,
 }
 
-/// The three aggregated report sinks, as file contents.
+/// The six aggregated sinks, as file contents.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FinalReport {
     /// `report.json` — machine-readable, exact values.
@@ -97,6 +99,13 @@ pub struct FinalReport {
     pub csv: String,
     /// `report.txt` — human-oriented aligned tables.
     pub table: String,
+    /// `summary.json` — the mean ± sd tables (see [`aggregate`]) as one
+    /// JSON array, exact values.
+    pub summary_json: String,
+    /// `summary.csv` — one block per summary table, exact values.
+    pub summary_csv: String,
+    /// `summary.txt` — the summary tables in paper layout.
+    pub summary_table: String,
 }
 
 /// Why a run stopped (as opposed to degrading per cell).
@@ -329,7 +338,7 @@ impl Runner {
 
     /// Runs the experiment to completion (or to the first crash /
     /// non-degradable io failure), then writes the three aggregated
-    /// report sinks.
+    /// report sinks and the three summary sinks.
     pub fn run(&mut self) -> Result<RunSummary, RunnerError> {
         self.prepare_dir()?;
         let keys = cell_keys(&self.spec);
@@ -428,6 +437,9 @@ impl Runner {
             ("report.json", &report.json),
             ("report.csv", &report.csv),
             ("report.txt", &report.table),
+            ("summary.json", &report.summary_json),
+            ("summary.csv", &report.summary_csv),
+            ("summary.txt", &report.summary_table),
         ] {
             let path = self.dir.join(name);
             self.atomic_write("report", &path, contents)?;
@@ -487,9 +499,15 @@ pub fn compute_cell(key: &CellKey) -> Result<Report, SimError> {
     open_row(key, &trace).report(&key.scheduler)
 }
 
-/// Builds the three final report sinks from decoded cells. Pure and
-/// deterministic in its inputs — this is the *only* producer of the final
-/// artifacts, which is what makes clean and resumed runs byte-identical.
+/// Builds the six final sinks from decoded cells. Pure and deterministic
+/// in its inputs — this is the *only* producer of the final artifacts,
+/// which is what makes clean and resumed runs byte-identical.
+///
+/// The `report.*` sinks list every cell. The `summary.*` sinks hold one
+/// mean ± sd [`SummaryTable`] per scalar metric, in spec order: titled by
+/// the spec name, a column per workload spec, a row per scheduler spec,
+/// each cell [`LabeledStat::from_values`] over the done instances'
+/// aggregates in instance order (the paper's Tables 1–2 and Figure 10).
 pub fn aggregate(spec: &ExperimentSpec, cells: &[(CellKey, StoredCell)]) -> FinalReport {
     let done = cells.iter().filter(|(_, s)| s.status == "done").count();
     let failed = cells.len() - done;
@@ -552,16 +570,74 @@ pub fn aggregate(spec: &ExperimentSpec, cells: &[(CellKey, StoredCell)]) -> Fina
             (None, None) => {}
         }
     }
-    FinalReport { json, csv, table }
+    let tables = summary_tables(spec, cells);
+    let mut summary_json =
+        Value::Array(tables.iter().map(serde::Serialize::to_value).collect())
+            .to_json_pretty();
+    summary_json.push('\n');
+    let blocks = |render: fn(&SummaryTable) -> String, open: &str, close: &str| {
+        let rendered: Vec<String> = tables
+            .iter()
+            .map(|t| format!("{open}{}{close}\n{}", t.metric, render(t)))
+            .collect();
+        rendered.join("\n")
+    };
+    FinalReport {
+        json,
+        csv,
+        table,
+        summary_json,
+        summary_csv: blocks(SummaryTable::to_csv, "# ", ""),
+        summary_table: blocks(SummaryTable::render, "== ", " =="),
+    }
 }
 
-/// Minimal CSV quoting, matching the report sink's convention.
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+/// The summary tables of [`aggregate`], in one pass over the cells.
+/// Failed cells are left out, and a metric no done cell evaluates as a
+/// scalar (the `timeline` family) gives no table.
+fn summary_tables(
+    spec: &ExperimentSpec,
+    cells: &[(CellKey, StoredCell)],
+) -> Vec<SummaryTable> {
+    let (n_workloads, n_schedulers) = (spec.workloads.len(), spec.schedulers.len());
+    // values[m][w][s]: metric m's aggregates for workload w and scheduler
+    // s, in instance order; `None` until a done cell evaluates m.
+    let mut values: Vec<Option<Vec<Vec<Vec<f64>>>>> = vec![None; spec.metrics.len()];
+    for (key, stored) in cells {
+        let Some(report) = &stored.report else { continue };
+        let w = spec.workloads.iter().position(|w| *w == key.workload);
+        let s = spec.schedulers.iter().position(|s| *s == key.scheduler);
+        let (Some(w), Some(s)) = (w, s) else { continue };
+        for column in &report.columns {
+            if let Some(m) = spec.metrics.iter().position(|m| *m == column.spec) {
+                values[m].get_or_insert_with(|| {
+                    vec![vec![Vec::new(); n_schedulers]; n_workloads]
+                })[w][s]
+                    .push(column.aggregate.as_f64());
+            }
+        }
     }
+    spec.metrics
+        .iter()
+        .zip(values)
+        .filter_map(|(metric, values)| {
+            Some(SummaryTable {
+                title: spec.name.clone(),
+                metric: metric.to_string(),
+                columns: spec.workloads.iter().map(ToString::to_string).collect(),
+                cells: values?
+                    .into_iter()
+                    .map(|column| {
+                        spec.schedulers
+                            .iter()
+                            .zip(column)
+                            .map(|(s, v)| LabeledStat::from_values(s.to_string(), v))
+                            .collect()
+                    })
+                    .collect(),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -737,6 +813,230 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, RunnerError::SpecMismatch { .. }));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `spec` cleanly in a fresh directory.
+    fn run_fresh(spec: &ExperimentSpec, tag: &str) -> (RunSummary, PathBuf) {
+        let dir = fresh_dir(tag);
+        let summary =
+            Runner::new(spec.clone(), &dir, RunnerOptions::default()).run().unwrap();
+        (summary, dir)
+    }
+
+    /// Every cell of the grid, computed and decoded as the runner does.
+    fn decoded_cells(spec: &ExperimentSpec) -> Vec<(CellKey, StoredCell)> {
+        cell_keys(spec)
+            .into_iter()
+            .map(|key| {
+                let stored =
+                    decode_cell(&encode_cell(&key, &compute_cell(&key))).unwrap();
+                (key, stored)
+            })
+            .collect()
+    }
+
+    fn labels(table: &SummaryTable) -> Vec<&str> {
+        table.cells[0].iter().map(|s| s.label.as_str()).collect()
+    }
+
+    #[test]
+    fn summary_skips_failed_cells_and_series_metrics_in_spec_order() {
+        let mut spec = tiny_spec("summary");
+        spec.schedulers = ["roundrobin", "no-such-policy", "fifo"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        spec.metrics = ["timeline:samples=4", "psi", "completed"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        spec.seeds.count = 2;
+        let cells = decoded_cells(&spec);
+        let tables = summary_tables(&spec, &cells);
+        // The series-only `timeline` gives no table; the scalars keep
+        // spec order.
+        let metrics: Vec<&str> = tables.iter().map(|t| t.metric.as_str()).collect();
+        assert_eq!(metrics, ["psi", "completed"]);
+        for (m, table) in tables.iter().enumerate() {
+            assert_eq!(table.title, "summary");
+            assert_eq!(table.columns, ["fpt:horizon=200,k=2"]);
+            assert_eq!(labels(table), ["roundrobin", "no-such-policy", "fifo"]);
+            // The failed cells are left out; the others list their
+            // instances in order.
+            assert!(table.cells[0][1].values.is_empty());
+            for (row, scheduler) in [(0, "roundrobin"), (2, "fifo")] {
+                let expected: Vec<f64> = cells
+                    .iter()
+                    .filter(|(k, _)| k.scheduler.to_string() == scheduler)
+                    .map(|(_, s)| {
+                        s.report.as_ref().unwrap().columns[m].aggregate.as_f64()
+                    })
+                    .collect();
+                assert_eq!(table.cells[0][row].values, expected, "{scheduler}");
+                assert_eq!(expected.len(), 2);
+            }
+        }
+        let report = aggregate(&spec, &cells);
+        let json = serde_json::parse_value(&report.summary_json).unwrap();
+        assert!(matches!(json, Value::Array(ref t) if t.len() == 2));
+        assert!(report.summary_csv.starts_with("# psi\nalgorithm,"));
+        assert!(report.summary_csv.contains("\n\n# completed\n"));
+        assert!(report.summary_table.starts_with("== psi ==\nsummary\n"));
+        assert!(report.summary_table.contains("\n\n== completed ==\n"));
+    }
+
+    #[test]
+    fn stats_math() {
+        let mut spec = tiny_spec("stats");
+        spec.metrics = vec!["psi".parse().unwrap()];
+        spec.seeds.count = 2;
+        let tables = summary_tables(&spec, &decoded_cells(&spec));
+        for stat in &tables[0].cells[0] {
+            let [a, b] = stat.values[..] else { panic!("two instances: {stat:?}") };
+            assert_eq!(stat.mean, (a + b) / 2.0);
+            assert!((stat.sd - (a - b).abs() / std::f64::consts::SQRT_2).abs() < 1e-9);
+        }
+    }
+
+    /// A synth workload's grid gives one summary row per scheduler, one
+    /// value per instance.
+    #[test]
+    fn experiment_produces_stats_per_algo() {
+        let mut spec = ExperimentSpec::new(
+            "synth",
+            vec!["synth:horizon=2000,orgs=3,preset=lpc,scale=0.1".parse().unwrap()],
+            ["roundrobin", "fairshare", "rand:perms=5"]
+                .iter()
+                .map(|s| s.parse().unwrap())
+                .collect(),
+        );
+        spec.metrics = vec!["delay".parse().unwrap()];
+        spec.horizon = Some(2_000);
+        spec.seeds.base = 7;
+        spec.seeds.count = 2;
+        let table = summary_tables(&spec, &decoded_cells(&spec)).remove(0);
+        assert_eq!(labels(&table), ["roundrobin", "fairshare", "rand:perms=5"]);
+        for s in &table.cells[0] {
+            assert_eq!(s.values.len(), 2);
+            assert!(s.mean >= 0.0 && s.sd >= 0.0);
+        }
+    }
+
+    /// The fpt family reaches the runner like the synth presets do, and
+    /// summary columns carry the canonical workload spec.
+    #[test]
+    fn fpt_workload_specs_run_in_experiments() {
+        let mut spec = tiny_spec("fpt");
+        // lint:allow(spec-literal) unsorted input; asserts it canonicalizes
+        spec.workloads = vec!["fpt:k=3,horizon=600".parse().unwrap()];
+        spec.horizon = Some(600);
+        let table = summary_tables(&spec, &decoded_cells(&spec)).remove(0);
+        assert_eq!(table.columns, ["fpt:horizon=600,k=3"]);
+        assert!(table.cells[0].iter().all(|s| s.values.len() == 1));
+    }
+
+    /// Summary rows are labelled by canonical scheduler spec strings, so
+    /// any registered spec is a row.
+    #[test]
+    fn spec_rows_run_in_experiments() {
+        let mut spec = tiny_spec("spec-rows");
+        spec.schedulers = vec![
+            "general-ref:util=flowtime".parse().unwrap(),
+            "rand:perms=3".parse().unwrap(),
+        ];
+        let table = summary_tables(&spec, &decoded_cells(&spec)).remove(0);
+        assert_eq!(labels(&table), ["general-ref:util=flowtime", "rand:perms=3"]);
+    }
+
+    /// A clean run leaves no cell out of its summary.
+    #[test]
+    fn outcome_has_no_failures_on_clean_run() {
+        let mut spec = tiny_spec("clean-summary");
+        spec.seeds.count = 2;
+        let (summary, dir) = run_fresh(&spec, "clean-summary");
+        assert_eq!(summary.failed, 0);
+        for table in summary_tables(&spec, &decoded_cells(&spec)) {
+            assert!(table.cells[0].iter().all(|s| s.values.len() == 2));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn instance_is_deterministic() {
+        let key = cell_keys(&tiny_spec("det")).remove(1);
+        assert_eq!(
+            compute_cell(&key).unwrap().to_json(),
+            compute_cell(&key).unwrap().to_json()
+        );
+    }
+
+    /// A scheduler spec its factory rejects fails every instance as a
+    /// typed cell, and the healthy row still aggregates.
+    #[test]
+    fn bad_scheduler_is_reported_per_instance_not_panicked() {
+        let mut spec = tiny_spec("bad-scheduler");
+        spec.schedulers = vec!["rand:perms=0".parse().unwrap(), "fifo".parse().unwrap()];
+        spec.seeds.count = 2;
+        let (summary, dir) = run_fresh(&spec, "bad-scheduler");
+        assert_eq!((summary.total, summary.failed), (4, 2));
+        assert!(read(&dir, "report.json").contains("perms"));
+        let table = summary_tables(&spec, &decoded_cells(&spec)).remove(0);
+        assert!(table.cells[0][0].values.is_empty());
+        assert_eq!(table.cells[0][1].values.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A workload that cannot be built fails every cell as a typed entry
+    /// and leaves nothing to summarise.
+    #[test]
+    fn invalid_workload_spec_is_collected_not_panicked() {
+        let mut spec = tiny_spec("bad-workload");
+        // scale=0 violates the synth factory's (0, 1] constraint; the
+        // second family is deliberately unregistered.
+        spec.workloads = vec![
+            "synth:preset=lpc,scale=0".parse().unwrap(),
+            // lint:allow(spec-literal) deliberately unregistered family.
+            "quantumfoam:qubits=8".parse().unwrap(),
+        ];
+        let (summary, dir) = run_fresh(&spec, "bad-workload");
+        assert_eq!((summary.total, summary.failed), (4, 4));
+        assert_eq!(read(&dir, "summary.json"), "[]\n");
+        let report = read(&dir, "report.txt");
+        assert_eq!(report.matches("bad value for synth:scale").count(), 2, "{report}");
+        assert_eq!(report.matches("unknown workload").count(), 2, "{report}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Instance seeds live on the `u64` ring: a base seed at the top
+    /// wraps to 0 on both axes instead of overflowing.
+    #[test]
+    fn instance_seeds_wrap_around_the_u64_ring() {
+        let mut spec = tiny_spec("wrap");
+        spec.seeds.base = u64::MAX;
+        spec.seeds.count = 2;
+        let seeds: Vec<(u64, u64)> = cell_keys(&spec)
+            .iter()
+            .map(|k| (k.workload_seed, k.scheduler_seed))
+            .collect();
+        assert_eq!(seeds, [(u64::MAX, u64::MAX), (u64::MAX, u64::MAX), (0, 0), (0, 0)]);
+        let (summary, dir) = run_fresh(&spec, "wrap");
+        assert_eq!(summary.failed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `timeline` cell's final sample equals the same cell's `delay`
+    /// aggregate bit for bit, so the trajectory ends on the table value.
+    #[test]
+    fn timeline_metric_cells_project_to_the_final_point() {
+        let mut spec = tiny_spec("timeline");
+        spec.metrics =
+            vec!["delay".parse().unwrap(), "timeline:samples=16".parse().unwrap()];
+        for (key, stored) in decoded_cells(&spec) {
+            let report = stored.report.unwrap();
+            let delay = report.columns[0].aggregate.as_f64();
+            let last = report.series[0].final_aggregate().unwrap().as_f64();
+            assert_eq!(last.to_bits(), delay.to_bits(), "{}", key.scheduler);
+        }
     }
 
     #[test]

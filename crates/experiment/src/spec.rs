@@ -122,6 +122,11 @@ impl Default for RetryPolicy {
     }
 }
 
+/// The largest grid a spec may name. The runner enumerates every cell
+/// key up front, so an unbounded `seeds.count` would exhaust memory
+/// before the first cell ran; paper-scale Table 1 is 2 400 cells.
+pub const MAX_CELLS: u64 = 1 << 20;
+
 /// The longest single backoff sleep, so a misconfigured spec cannot park
 /// the runner for minutes between retries.
 pub const MAX_BACKOFF_MS: u64 = 250;
@@ -342,7 +347,7 @@ impl ExperimentSpec {
         if retry.max_attempts == 0 {
             return Err(SpecLoadError::new("retry.max_attempts", "must be at least 1"));
         }
-        Ok(ExperimentSpec {
+        let spec = ExperimentSpec {
             name,
             workloads,
             schedulers,
@@ -351,7 +356,15 @@ impl ExperimentSpec {
             validate,
             seeds,
             retry,
-        })
+        };
+        let cells = spec.n_cells();
+        if cells > MAX_CELLS {
+            return Err(SpecLoadError::new(
+                "seeds.count",
+                format!("the grid has {cells} cells, more than the {MAX_CELLS} allowed"),
+            ));
+        }
+        Ok(spec)
     }
 
     /// Parses a spec from JSON text (the CLI's `experiment run FILE`
@@ -512,6 +525,26 @@ mod tests {
             let err = ExperimentSpec::from_json_str(doc).unwrap_err();
             assert_eq!(&err.at, at, "{err}");
         }
+    }
+
+    /// A huge seed count used to reach `cell_keys`, which materialises
+    /// every key: `experiment status` hung and `experiment run` aborted
+    /// out of memory after committing `spec.json`.
+    #[test]
+    fn oversized_grids_are_rejected_at_load() {
+        let doc = |count: u64| {
+            format!(
+                r#"{{"schema": "fairsched-experiment/v1", "name": "x",
+                    "workloads": ["fpt:k=2", "fpt:k=3"], "schedulers": ["fifo"],
+                    "seeds": {{"count": {count}}}}}"#
+            )
+        };
+        for count in [u64::MAX, MAX_CELLS / 2 + 1] {
+            let err = ExperimentSpec::from_json_str(&doc(count)).unwrap_err();
+            assert_eq!(err.at, "seeds.count", "{err}");
+        }
+        let largest = ExperimentSpec::from_json_str(&doc(MAX_CELLS / 2)).unwrap();
+        assert_eq!(largest.n_cells(), MAX_CELLS);
     }
 
     #[test]

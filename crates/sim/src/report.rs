@@ -222,7 +222,7 @@ impl MetricValue {
     }
 
     /// Human-oriented rendering for tables: integers exact, floats with
-    /// the paper's ~3 significant digits ([`format_sig`]).
+    /// the paper's ~3 significant digits (`format_sig`).
     pub fn render_sig(&self) -> String {
         match self {
             MetricValue::Int(i) => i.to_string(),
@@ -1502,10 +1502,9 @@ impl Report {
 
 /// Renders an aligned time table: a left-justified `t` column plus one
 /// right-justified labeled column per value series (cells pre-rendered;
-/// `columns[c][i]` belongs to `labels[c]` at `times[i]`). The one layout
-/// shared by [`Report::render_table`]'s series blocks and the bench
-/// trajectory figure.
-pub fn render_time_table(
+/// `columns[c][i]` belongs to `labels[c]` at `times[i]`): the layout of
+/// [`Report::render_table`]'s series blocks.
+pub(crate) fn render_time_table(
     times: &[Time],
     labels: &[&str],
     columns: &[Vec<String>],
@@ -1539,8 +1538,8 @@ pub fn render_time_table(
 /// Quotes a CSV field when it contains a delimiter, quote, or newline
 /// (RFC 4180 style), so canonical spec strings — which legitimately
 /// contain commas — survive the CSV sinks verbatim. Public so every CSV
-/// sink in the workspace (bench trajectory included) shares the one
-/// quoting rule.
+/// sink in the workspace (the experiment runner's included) shares the
+/// one quoting rule.
 pub fn csv_field(s: &str) -> String {
     if s.contains([',', '"', '\n']) {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -1552,7 +1551,7 @@ pub fn csv_field(s: &str) -> String {
 /// Formats with 3 significant-ish digits like the paper's tables (e.g.
 /// `238`, `0.014`, `2839`). Presentation only — machine outputs (JSON,
 /// CSV) always carry exact round-trippable values.
-pub fn format_sig(v: f64) -> String {
+pub(crate) fn format_sig(v: f64) -> String {
     if v < 0.0 {
         format!("-{}", format_sig(-v))
     } else if v == 0.0 {
@@ -1566,9 +1565,9 @@ pub fn format_sig(v: f64) -> String {
     }
 }
 
-/// Mean/sd aggregation of one labelled value series — the per-algorithm
-/// cell statistic of the paper's Tables 1–2 (previously inlined in the
-/// bench runner).
+/// Mean/sd aggregation of one labelled value series — the per-scheduler
+/// cell statistic of the paper's Tables 1–2, built by the experiment
+/// runner's summary sinks.
 #[derive(Clone, Debug, Serialize)]
 pub struct LabeledStat {
     /// Row label (algorithm name or spec).
@@ -1595,11 +1594,11 @@ impl LabeledStat {
     }
 }
 
-/// A Table-1-style summary grid: one row per algorithm, one (avg, sd)
+/// A Table-1-style summary grid: one row per scheduler, one (avg, sd)
 /// column pair per workload, each cell aggregating one metric over many
-/// instances. The sink successor of the bench crate's hand-rolled
-/// `DelayTable`: [`SummaryTable::render`] is presentational
-/// ([`format_sig`]), [`SummaryTable::to_json`] and
+/// instances (the experiment runner's `summary.{json,csv,txt}`).
+/// [`SummaryTable::render`] is presentational
+/// (`format_sig`), [`SummaryTable::to_json`] and
 /// [`SummaryTable::to_csv`] carry exact round-trippable floats.
 #[derive(Clone, Debug, Serialize)]
 pub struct SummaryTable {
@@ -1619,25 +1618,30 @@ impl SummaryTable {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("{}\n", self.title));
-        let algo_w = 16;
+        let n_algos = self.cells.first().map_or(0, |c| c.len());
+        // Columns widen to fit long labels (canonical workload and
+        // scheduler spec strings), so headers never run together.
+        let algo_w =
+            (0..n_algos).map(|a| self.cells[0][a].label.len() + 2).fold(16, usize::max);
         let col_w = 11;
+        let avg_w: Vec<usize> =
+            self.columns.iter().map(|c| (c.len() + 2).max(2 * col_w) - col_w).collect();
         out.push_str(&format!("{:<algo_w$}", ""));
-        for c in &self.columns {
-            out.push_str(&format!("{:>width$}", c, width = 2 * col_w));
+        for (c, w) in self.columns.iter().zip(&avg_w) {
+            out.push_str(&format!("{:>width$}", c, width = w + col_w));
         }
         out.push('\n');
         out.push_str(&format!("{:<algo_w$}", "algorithm"));
-        for _ in &self.columns {
-            out.push_str(&format!("{:>col_w$}{:>col_w$}", "Avg", "St.dev"));
+        for w in &avg_w {
+            out.push_str(&format!("{:>w$}{:>col_w$}", "Avg", "St.dev"));
         }
         out.push('\n');
-        let n_algos = self.cells.first().map_or(0, |c| c.len());
         for a in 0..n_algos {
             out.push_str(&format!("{:<algo_w$}", self.cells[0][a].label));
-            for c in 0..self.columns.len() {
+            for (c, w) in avg_w.iter().enumerate() {
                 let s = &self.cells[c][a];
                 out.push_str(&format!(
-                    "{:>col_w$}{:>col_w$}",
+                    "{:>w$}{:>col_w$}",
                     format_sig(s.mean),
                     format_sig(s.sd)
                 ));
@@ -1648,7 +1652,7 @@ impl SummaryTable {
     }
 
     /// Machine-readable JSON with exact, round-trippable floats (no
-    /// [`format_sig`] truncation — the fix for the historical
+    /// `format_sig` truncation — the fix for the historical
     /// render-vs-JSON drift).
     pub fn to_json(&self) -> String {
         self.to_value().to_json_pretty()

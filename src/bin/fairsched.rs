@@ -123,7 +123,8 @@ Runs the (workload x scheduler x metric) grid named by an experiment spec
 (schema {schema}), committing each cell to DIR/cells/<hash>.json with an
 atomic write and journaling progress to DIR/journal.jsonl. `--resume`
 skips every intact committed cell, so an interrupted run continues where
-it stopped and emits byte-identical report.{{json,csv,txt}}.
+it stopped and emits byte-identical report.{{json,csv,txt}} and
+summary.{{json,csv,txt}} (mean ± sd per workload and scheduler).
 
 DIR defaults to the spec file name with its .json/.experiment.json suffix
 replaced by .run. Set FAIRSCHED_FAILPOINTS=site@N[:crash|io];... to

@@ -2,8 +2,9 @@
 //! guarantees behind `fairsched experiment run --resume`.
 //!
 //! The central claim: for *every* registered fail point, a run crashed at
-//! that point and then resumed emits final `report.{json,csv,txt}` files
-//! byte-for-byte identical to an uninterrupted run. The sweep below
+//! that point and then resumed emits final `report.{json,csv,txt}` and
+//! `summary.{json,csv,txt}` files byte-for-byte identical to an
+//! uninterrupted run. The sweep below
 //! enumerates [`SITES`] (so a fail point added to the runner is swept
 //! automatically), crashes at each, and diffs the artifacts. Alongside
 //! it: journal-corruption recovery, cell-corruption recompute, typed
@@ -47,9 +48,17 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn artifacts(dir: &Path) -> (String, String, String) {
-    let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
-    (read("report.json"), read("report.csv"), read("report.txt"))
+/// The six final sinks: `report.{json,csv,txt}`, `summary.{json,csv,txt}`.
+fn artifacts(dir: &Path) -> [String; 6] {
+    [
+        "report.json",
+        "report.csv",
+        "report.txt",
+        "summary.json",
+        "summary.csv",
+        "summary.txt",
+    ]
+    .map(|name| std::fs::read_to_string(dir.join(name)).unwrap())
 }
 
 fn run(
@@ -172,7 +181,7 @@ fn failed_cells_degrade_into_the_report_and_injected_io_faults_retry() {
     assert_eq!(summary.total, 16); // 2 instances × 2 workloads × 4 schedulers
     assert_eq!(summary.failed, 4);
     assert_eq!(summary.retried, 2);
-    let (json, csv, _) = artifacts(&dir);
+    let [json, csv, ..] = artifacts(&dir);
     assert!(json.contains("\"failed\": 4"), "counts missing from report.json");
     assert!(json.contains("no-such-policy"));
     assert!(csv.contains("status=failed"));
@@ -216,10 +225,13 @@ fn coupled_seed_runner_matches_run_grid_reports_byte_for_byte() {
         keys.iter().position(|k| k.canonical() == key.canonical()).unwrap()
     });
     let expected = aggregate(&spec, &direct);
-    let (json, csv, table) = artifacts(&dir);
+    let [json, csv, table, summary_json, summary_csv, summary_table] = artifacts(&dir);
     assert_eq!(json, expected.json);
     assert_eq!(csv, expected.csv);
     assert_eq!(table, expected.table);
+    assert_eq!(summary_json, expected.summary_json);
+    assert_eq!(summary_csv, expected.summary_csv);
+    assert_eq!(summary_table, expected.summary_table);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -5,19 +5,21 @@
 //!
 //! The historical paths being matched bit for bit:
 //!
-//! * the bench runner's per-instance `Δψ/p_tot` (previously
-//!   `FairnessReport::from_schedules(..).unfairness()` inlined in
-//!   `runner.rs`);
+//! * the paper tables' per-instance `Δψ/p_tot`, now one experiment cell
+//!   (previously `FairnessReport::from_schedules(..).unfairness()`
+//!   inlined in the bench crate's delay runner);
 //! * the CLI's per-organization numbers (previously ad-hoc
 //!   `OrgMetrics` fields, recomputed here from the schedule entries).
 
 use fairsched::core::fairness::FairnessReport;
-use fairsched::core::scheduler::registry::{Registry, SchedulerSpec};
+use fairsched::core::scheduler::registry::SchedulerSpec;
 use fairsched::core::Trace;
+use fairsched::experiment::{
+    aggregate, compute_cell, decode_cell, encode_cell, CellKey, ExperimentSpec, SeedPlan,
+};
 use fairsched::sim::report::{MetricRegistry, MetricValue, Report};
 use fairsched::sim::Simulation;
 use fairsched::workloads::spec::{WorkloadContext, WorkloadRegistry};
-use fairsched_bench::runner::{run_instance, Algo, DelayExperiment};
 
 const HORIZON: u64 = 2_000;
 const SEED: u64 = 42;
@@ -33,7 +35,7 @@ fn old_style_unfairness(trace: &Trace, specs: &[SchedulerSpec], seed: u64) -> Ve
         Simulation::new(trace)
             .scheduler_spec(spec.clone())
             .horizon(HORIZON)
-            .seed(seed ^ 0x5eed)
+            .seed(seed)
             .run()
             .unwrap()
     };
@@ -53,31 +55,39 @@ fn old_style_unfairness(trace: &Trace, specs: &[SchedulerSpec], seed: u64) -> Ve
         .collect()
 }
 
-/// The acceptance gate: bench-runner delay values through the metric
-/// registry are bit-identical to the pre-refactor `FairnessReport` path
-/// for the `fpt:k=8` bench family.
+/// The one-cell experiment key of `scheduler` on `workload` at [`SEED`]
+/// (both seed axes) and [`HORIZON`], measuring `delay`.
+fn delay_cell(workload: &str, scheduler: &str) -> CellKey {
+    CellKey {
+        workload: workload.parse().unwrap(),
+        scheduler: scheduler.parse().unwrap(),
+        metrics: vec!["delay".parse().unwrap()],
+        horizon: Some(HORIZON),
+        validate: false,
+        instance: 0,
+        workload_seed: SEED,
+        scheduler_seed: SEED,
+    }
+}
+
+/// The acceptance gate: the paper tables' delay values — experiment cells
+/// measured through the metric registry — are bit-identical to the
+/// pre-refactor `FairnessReport` path for the `fpt:k=8` bench family.
 #[test]
-fn bench_runner_delay_is_bit_identical_to_the_old_path() {
-    let exp = DelayExperiment {
-        workload: "fpt:k=8".parse().unwrap(),
-        horizon: HORIZON,
-        n_instances: 1,
-        base_seed: SEED,
-        algos: vec![Algo::RoundRobin, Algo::FairShare, Algo::Rand(5), Algo::Fifo],
-        metric: DelayExperiment::delay_metric(),
-    };
-    let new = run_instance(&exp, SEED, Registry::shared()).unwrap();
-
-    let trace = bench_family_trace(SEED);
-    let specs: Vec<SchedulerSpec> = exp.algos.iter().map(Algo::spec).collect();
-    let old = old_style_unfairness(&trace, &specs, SEED);
-
-    assert_eq!(new.len(), old.len());
-    for ((label, new_value), old_value) in new.iter().zip(&old) {
+fn experiment_cell_delay_is_bit_identical_to_the_old_path() {
+    let specs: Vec<SchedulerSpec> = ["roundrobin", "fairshare", "rand:perms=5", "fifo"]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+    let old = old_style_unfairness(&bench_family_trace(SEED), &specs, SEED);
+    assert_eq!(specs.len(), old.len());
+    for (spec, old_value) in specs.iter().zip(&old) {
+        let report = compute_cell(&delay_cell("fpt:k=8", &spec.to_string())).unwrap();
+        let new_value = report.column("delay").unwrap().aggregate.as_f64();
         assert_eq!(
             new_value.to_bits(),
             old_value.to_bits(),
-            "delay for {label} drifted: new {new_value} vs old {old_value}"
+            "delay for {spec} drifted: new {new_value} vs old {old_value}"
         );
     }
 }
@@ -254,20 +264,21 @@ fn report_sinks_agree_on_provenance() {
         assert!(csv.contains(spec), "CSV sink is missing {spec}");
         assert!(table.contains(spec), "table sink is missing {spec}");
     }
-    // Bench's SummaryTable aggregation and the registry agree: the mean
-    // of a single instance is the instance value itself.
-    let exp = DelayExperiment {
-        workload: "fpt:k=3".parse().unwrap(),
-        horizon: HORIZON,
-        n_instances: 1,
-        base_seed: SEED,
-        algos: vec![Algo::RoundRobin],
-        metric: DelayExperiment::delay_metric(),
-    };
-    let stats = fairsched_bench::run_delay_experiment(&exp);
-    assert_eq!(stats.len(), 1);
-    assert_eq!(stats[0].values.len(), 1);
-    assert!(stats[0].values[0] >= 0.0);
+    // The experiment summary and the session report agree: the mean of
+    // a single instance is the instance value itself, bit for bit.
+    let key = delay_cell("fpt:k=3", "roundrobin");
+    let stored = decode_cell(&encode_cell(&key, &compute_cell(&key))).unwrap();
+    let mut spec = ExperimentSpec::new(
+        "one-cell",
+        vec![key.workload.clone()],
+        vec![key.scheduler.clone()],
+    );
+    spec.metrics = key.metrics.clone();
+    spec.horizon = key.horizon;
+    spec.seeds = SeedPlan { base: SEED, ..SeedPlan::default() };
+    let summary = aggregate(&spec, &[(key, stored)]).summary_csv;
+    let delay = report.column("delay").unwrap().aggregate.as_f64();
+    assert!(summary.ends_with(&format!("\nroundrobin,{delay:?},0.0\n")), "{summary}");
     assert!(MetricRegistry::shared().names().count() >= 10);
     let _: &Report = &report;
 }
