@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The synthetic workload family the lattice benches use (small enough
-/// for REF to stay fast at k ≤ 6, busy enough to exercise every path).
+/// for REF to stay fast at k ≤ 8, busy enough to exercise every path).
 fn workload(k: usize, seed: u64) -> Trace {
     let config = SynthConfig {
         n_users: 2 * k,
@@ -114,6 +114,13 @@ fn cases() -> Vec<Case> {
             spec: "ref",
             seed: 0,
             horizon: 600,
+        },
+        Case {
+            name: "ref_k8_s5",
+            trace: workload(8, 5),
+            spec: "ref",
+            seed: 0,
+            horizon: 1_000,
         },
         Case {
             name: "rand15_k4_s5",
