@@ -43,16 +43,22 @@
 //! 3. **Incremental Shapley.** `shapley_for(C)` is served from a cached
 //!    per-coalition φ *polynomial* (the weighted sum of the subset value
 //!    polynomials, stored doubled so all arithmetic stays in exact
-//!    integers). Live caches are maintained **incrementally**: whenever a
-//!    sim starts or completes a job, its value-polynomial delta
-//!    `(Δa, Δb, Δc)` is pushed — with the correct subset weights — into
-//!    every existing superset cache ([`Coalition::supersets_within`]), so
-//!    a cached φ read is a pure `O(|C|)` evaluation. The `O(2^|C|)`
-//!    from-scratch build happens exactly once per coalition, on its first
-//!    read; after that, cost is proportional to how much of the lattice
-//!    *actually changes*. Settled sims — empty queues, no pending
-//!    completions — emit no deltas and therefore cost nothing, at any
-//!    lattice size, and sims whose pick is forced (a single eligible
+//!    integers). Caches are maintained **incrementally** and never
+//!    evicted: whenever a sim starts or completes a job, its
+//!    value-polynomial delta `(Δa, Δb, Δc)` is pushed — with the correct
+//!    subset weights — into every existing superset cache
+//!    ([`Coalition::supersets_within`]), so a cached φ read is a pure
+//!    `O(|C|)` evaluation. The `O(|C|·2^|C|)` from-scratch build happens
+//!    exactly once per coalition, on its first contested read, so a
+//!    lattice performs at most `2^k − 1` builds; after that, cost is
+//!    proportional to how much of the lattice *actually changes*. Each
+//!    cache is split into per-member rows `H_u` and one shared row `G`
+//!    (`φ_u = H_u − G`), so a push from `S` adds precomputed per-size
+//!    deltas to `G` and to the `|S|` rows of `S` only — no
+//!    multiplication per superset, and no touch of `C ∖ S`. All caches
+//!    live in one grow-only arena. Settled sims — empty queues, no
+//!    pending completions — emit no deltas and therefore cost nothing, at
+//!    any lattice size, and sims whose pick is forced (a single eligible
 //!    organization — every singleton, in particular) never materialize a
 //!    cache at all. Deltas are exact integers and addition commutes, so
 //!    cached φ is bit-for-bit the from-scratch value; a start/completion
@@ -380,27 +386,27 @@ impl CoalitionIndex {
     }
 }
 
-/// A cached φ polynomial for one coalition: the doubled Shapley sum over
-/// its non-empty **proper** tracked subsets, per organization. The
-/// coalition's own value term is added at evaluation time (so REF's
-/// `grand_value` override needs no separate cache).
-///
-/// Live caches are kept current *eagerly*: whenever a sim's value
-/// polynomial changes, the delta is pushed (with the right subset weights)
-/// into every existing superset cache, so a φ read is a pure evaluation.
-/// A cache is built from scratch — `O(2^|C|)` — only on its first read;
-/// settled subcoalitions produce no deltas and therefore no work.
-///
-/// `pushes` counts deltas absorbed since the last read; once it exceeds
-/// the cost of a from-scratch build (`2^|C|` subset visits) the cache is
-/// *evicted* instead of updated (rent-to-buy: total maintenance stays
-/// within 2× of the per-coalition optimum, whatever the read pattern).
-#[derive(Clone, Debug)]
-struct PhiCache {
-    pushes: u64,
-    /// Per-org `[quad, lin, cons]` doubled φ coefficients (interleaved for
-    /// locality: one push touches a contiguous strip per org).
-    coef: Vec<[i128; 3]>,
+/// Sentinel for "no φ cache yet" in [`CoalitionLattice::phi_row`].
+const NO_PHI_ROW: u32 = u32::MAX;
+
+/// Adds a weighted `[quad, lin, cons]` delta to one φ cache row.
+#[inline]
+fn add_row(row: &mut [i128; 3], delta: [i128; 3]) {
+    row[0] += delta[0];
+    row[1] += delta[1];
+    row[2] += delta[2];
+}
+
+/// `[quad, lin, cons]` scaled by an integer weight.
+#[inline]
+fn scaled(w: i128, (a, b, d): (Util, Util, Util)) -> [i128; 3] {
+    [w * a, w * b, w * d]
+}
+
+/// Evaluates a doubled `[quad, lin, cons]` row at `tt`.
+#[inline]
+fn eval_row([a, b, d]: [i128; 3], tt: i128) -> i128 {
+    a * tt * tt + b * tt + d
 }
 
 /// Counters describing the work a lattice performed — the raw material of
@@ -424,8 +430,9 @@ pub struct LatticeStats {
     pub phi_recomputes: u64,
     /// Weighted sim deltas pushed into live φ caches.
     pub phi_deltas_applied: u64,
-    /// φ caches evicted by the rent-to-buy rule (more pushes absorbed
-    /// since the last read than a from-scratch build costs).
+    /// φ caches evicted: always 0, since caches live as long as the
+    /// lattice; kept for the benchmark harness until a `[benchmark]` PR
+    /// retires it.
     pub phi_evictions: u64,
 }
 
@@ -451,14 +458,22 @@ pub struct CoalitionLattice {
     advanced_to: Time,
     /// Precomputed factorials `0..=n_orgs`.
     fact: Vec<i128>,
-    /// Cached φ polynomials, parallel to `sims` (Fair policy only; kept
-    /// current by eager delta pushes).
-    phi: Vec<Option<Box<PhiCache>>>,
-    /// Cached φ polynomial for the (possibly untracked) universe coalition.
-    grand_phi: Option<Box<PhiCache>>,
-    /// Number of live caches (`phi` entries + `grand_phi`); lets the delta
-    /// push skip the superset walk entirely before the first φ read.
-    live_caches: usize,
+    /// The φ cache arena (Fair policy only), grow-only: a coalition gets
+    /// a block of `n_orgs + 1` doubled `[quad, lin, cons]` rows on its
+    /// first contested read — `H_u` at each member's global org id, the
+    /// shared `G` last — and its φ polynomial for member `u` is
+    /// `H_u − G` over its non-empty **proper** subsets. The coalition's
+    /// own value term is added at evaluation time (so REF's `grand_value`
+    /// override needs no separate cache). Kept current by eager delta
+    /// pushes for the lattice's lifetime; empty until the first φ read,
+    /// which lets the push skip the superset walk entirely.
+    phi_rows: Vec<[i128; 3]>,
+    /// Per-rank block index into `phi_rows` ([`NO_PHI_ROW`] = not read
+    /// yet); the extra last slot is the universe when it is untracked.
+    phi_row: Vec<u32>,
+    /// Per superset size, the `[G, H]` weighted deltas of the push in
+    /// progress (scratch for [`Self::push_delta`]).
+    push_rows: Vec<[[i128; 3]; 2]>,
     /// Sims with a not-yet-pushed net value delta this round (ranks), the
     /// per-sim accumulated deltas, and the membership marks. Deltas within
     /// one time moment are additive and all evaluate to 0 at that moment,
@@ -565,9 +580,9 @@ impl CoalitionLattice {
             wake: BinaryHeap::new(),
             advanced_to: 0,
             fact,
-            phi: vec![None; n_sims],
-            grand_phi: None,
-            live_caches: 0,
+            phi_rows: Vec::new(),
+            phi_row: vec![NO_PHI_ROW; n_sims + 1],
+            push_rows: vec![[[0; 3]; 2]; n_orgs + 1],
             pending: Vec::new(),
             pending_delta: vec![(0, 0, 0); n_sims],
             pending_mark: vec![false; n_sims],
@@ -693,58 +708,54 @@ impl CoalitionLattice {
     /// Pushes one sim's doubled-value-polynomial delta into every live
     /// superset φ cache, weighted exactly as a full build would weight that
     /// subset: `(|S|−1)!(|C|−|S|)!` for members of `S`,
-    /// `−|S|!(|C|−|S|−1)!` for the rest of `C`. With no live caches (before
+    /// `−|S|!(|C|−|S|−1)!` for the rest of `C`. In the `H/G` split that is
+    /// `+w_out·Δ` on `G` and `+(w_in + w_out)·Δ` on `H_u` for `u ∈ S`,
+    /// where `w_in + w_out = |C|·(|S|−1)!(|C|−|S|−1)!`; both depend only on
+    /// `|C|`, so they are computed once per superset size and each
+    /// superset costs `|S| + 1` row additions. With no live caches (before
     /// the first φ read, and always under `Policy::Fifo`) this is free.
-    /// Caches that have absorbed more pushes than a rebuild costs are
-    /// evicted instead (rent-to-buy).
-    fn push_delta(&mut self, bits: u64, (da, db, dc): (Util, Util, Util)) {
-        if self.live_caches == 0 {
+    fn push_delta(&mut self, bits: u64, delta: (Util, Util, Util)) {
+        if self.phi_rows.is_empty() {
             return;
         }
         let s = Coalition::from_bits(bits);
         let s_len = s.len();
-        let universe = Coalition::from_bits(self.universe);
+        for size in s_len + 1..=self.n_orgs {
+            let w = self.fact[s_len - 1] * self.fact[size - s_len - 1];
+            self.push_rows[size] =
+                [scaled(s_len as i128 * w, delta), scaled(size as i128 * w, delta)];
+        }
+        let stride = self.n_orgs + 1;
         let mut applied = 0u64;
-        for sup in s.supersets_within(universe) {
+        for sup in s.supersets_within(Coalition::from_bits(self.universe)) {
             if sup.bits() == bits {
                 continue; // a coalition's own value is added at eval time
             }
-            let slot = match self.index.get(sup.bits()) {
-                Some(r) => &mut self.phi[r],
-                None if sup.bits() == self.universe => &mut self.grand_phi,
-                None => continue,
-            };
-            let Some(cache) = slot.as_deref_mut() else { continue };
-            let size = sup.len();
-            // Rent-to-buy: a rebuild visits 2^|C| subsets, so a cache that
-            // absorbed ~that many pushes unread is cheaper to rebuild on
-            // demand (the half factor measured best on the k=8 bench).
-            if cache.pushes >= (1 << size) / 2 {
-                *slot = None;
-                self.live_caches -= 1;
-                self.stats.phi_evictions += 1;
+            let Some(slot) = self.phi_slot(sup.bits()) else { continue };
+            let row = self.phi_row[slot];
+            if row == NO_PHI_ROW {
                 continue;
             }
-            cache.pushes += 1;
-            let w_in = self.fact[s_len - 1] * self.fact[size - s_len];
-            let (ia, ib, ic) = (w_in * da, w_in * db, w_in * dc);
+            let [g, h] = self.push_rows[sup.len()];
+            let block = &mut self.phi_rows[row as usize * stride..][..stride];
+            add_row(&mut block[self.n_orgs], g);
             for p in s.members() {
-                let c = &mut cache.coef[p.0];
-                c[0] += ia;
-                c[1] += ib;
-                c[2] += ic;
-            }
-            let w_out = self.fact[s_len] * self.fact[size - s_len - 1];
-            let (oa, ob, oc) = (w_out * da, w_out * db, w_out * dc);
-            for p in sup.difference(s).members() {
-                let c = &mut cache.coef[p.0];
-                c[0] -= oa;
-                c[1] -= ob;
-                c[2] -= oc;
+                add_row(&mut block[p.0], h);
             }
             applied += 1;
         }
         self.stats.phi_deltas_applied += applied;
+    }
+
+    /// The `phi_row` slot of a cacheable coalition: its rank, or the extra
+    /// last slot for the untracked universe.
+    #[inline]
+    fn phi_slot(&self, bits: u64) -> Option<usize> {
+        match self.index.get(bits) {
+            Some(rank) => Some(rank),
+            None if bits == self.universe => Some(self.sims.len()),
+            None => None,
+        }
     }
 
     /// Runs the scheduling round at `t` over all sims (size order). Each
@@ -862,8 +873,8 @@ impl CoalitionLattice {
     /// be tracked.
     ///
     /// Served from the per-coalition φ polynomial cache (Fair policy):
-    /// live caches are kept current by eager delta pushes, so a cached
-    /// read is a pure O(|C|) evaluation; the `O(2^|C|)` from-scratch build
+    /// caches are kept current by eager delta pushes, so a cached read is
+    /// a pure O(|C|) evaluation; the `O(|C|·2^|C|)` from-scratch build
     /// happens only on a coalition's first read.
     ///
     /// Returns a dense vector indexed by global org id (non-members 0).
@@ -876,93 +887,74 @@ impl CoalitionLattice {
         if c.is_empty() {
             return vec![0; self.n_orgs];
         }
-        let rank = self.index.get(c.bits());
-        let cacheable =
-            self.policy == Policy::Fair && (rank.is_some() || c.bits() == self.universe);
-        if !cacheable {
-            let cache = self.compute_proper_poly(c);
-            return self.eval_phi(&cache, c, t, grand_value);
-        }
-        let has_cache = match rank {
-            Some(r) => self.phi[r].is_some(),
-            None => self.grand_phi.is_some(),
+        let stride = self.n_orgs + 1;
+        let slot = match self.policy {
+            Policy::Fair => self.phi_slot(c.bits()),
+            Policy::Fifo => None,
         };
-        if has_cache {
-            self.stats.phi_cache_hits += 1;
-        } else {
+        let Some(slot) = slot else {
+            let mut block = vec![[0; 3]; stride];
+            self.build_phi_rows(c, &mut block);
+            return self.eval_phi(&block, c, t, grand_value);
+        };
+        if self.phi_row[slot] == NO_PHI_ROW {
             self.stats.phi_recomputes += 1;
             // The build snapshots live sim state; flush first so the
             // pending deltas are not applied to it again later.
             self.flush_pending();
-            let cache = Box::new(self.compute_proper_poly(c));
-            match rank {
-                Some(r) => self.phi[r] = Some(cache),
-                None => self.grand_phi = Some(cache),
-            }
-            self.live_caches += 1;
+            let start = self.phi_rows.len();
+            self.phi_row[slot] = (start / stride) as u32;
+            let mut rows = std::mem::take(&mut self.phi_rows);
+            rows.resize(start + stride, [0; 3]);
+            self.build_phi_rows(c, &mut rows[start..]);
+            self.phi_rows = rows;
+        } else {
+            self.stats.phi_cache_hits += 1;
         }
-        let cache = match rank {
-            Some(r) => self.phi[r].as_deref_mut().expect("cache just ensured"),
-            None => self.grand_phi.as_deref_mut().expect("cache just ensured"),
-        };
-        cache.pushes = 0; // the read restarts the rent-to-buy clock
-        let cache = match rank {
-            Some(r) => self.phi[r].as_deref().expect("cache just ensured"),
-            None => self.grand_phi.as_deref().expect("cache just ensured"),
-        };
-        self.eval_phi(cache, c, t, grand_value)
+        let start = self.phi_row[slot] as usize * stride;
+        self.eval_phi(&self.phi_rows[start..start + stride], c, t, grand_value)
     }
 
     /// Builds the doubled φ polynomial of `c` over its non-empty proper
-    /// tracked subsets:
+    /// tracked subsets into a zeroed `H/G` block:
     ///
     /// For every proper subset `S ⊂ C` and every member `u`:
     ///   `u ∈ S: φ_u += (|S|−1)! (|C|−|S|)! v(S)`  (the `+v(S'∪u)` term)
     ///   `u ∉ S: φ_u −= |S|! (|C|−|S|−1)! v(S)`    (the `−v(S)` term)
     ///
+    /// stored as `G += |S|!(|C|−|S|−1)! v(S)` and, for `u ∈ S`,
+    /// `H_u += |C|·(|S|−1)!(|C|−|S|−1)! v(S)` (see [`Self::push_delta`]),
     /// applied to the subset *value polynomials*, so one build serves every
     /// later `t` until a subset changes.
-    fn compute_proper_poly(&self, c: Coalition) -> PhiCache {
+    fn build_phi_rows(&self, c: Coalition, block: &mut [[i128; 3]]) {
         let size = c.len();
-        let mut coef = vec![[0i128; 3]; self.n_orgs];
         for s in c.subsets() {
             if s.is_empty() || s == c {
                 continue; // v(∅) = 0; the S = C term is added at eval time.
             }
             let rank =
                 self.index.get(s.bits()).expect("coalition not tracked by this lattice");
-            let (a, b, d) = self.sims[rank].doubled_poly();
-            if a == 0 && b == 0 && d == 0 {
+            let poly = self.sims[rank].doubled_poly();
+            if poly == (0, 0, 0) {
                 continue;
             }
             let s_len = s.len();
-            let w_in = self.fact[s_len - 1] * self.fact[size - s_len];
-            let (ia, ib, ic) = (w_in * a, w_in * b, w_in * d);
+            let w = self.fact[s_len - 1] * self.fact[size - s_len - 1];
+            add_row(&mut block[self.n_orgs], scaled(s_len as i128 * w, poly));
+            let h = scaled(size as i128 * w, poly);
             for p in s.members() {
-                let e = &mut coef[p.0];
-                e[0] += ia;
-                e[1] += ib;
-                e[2] += ic;
-            }
-            let w_out = self.fact[s_len] * self.fact[size - s_len - 1];
-            let (oa, ob, oc) = (w_out * a, w_out * b, w_out * d);
-            for p in c.difference(s).members() {
-                let e = &mut coef[p.0];
-                e[0] -= oa;
-                e[1] -= ob;
-                e[2] -= oc;
+                add_row(&mut block[p.0], h);
             }
         }
-        PhiCache { pushes: 0, coef }
     }
 
-    /// Evaluates a φ polynomial at `t` and adds the `S = C` self term:
+    /// Evaluates an `H/G` φ block at `t` and adds the `S = C` self term:
     /// `(|C|−1)! · v(C, t)` for every member, with `v(C, t)` taken from
     /// `grand_value` or from `c`'s own sim. All sums are doubled integers;
     /// the final halving is exact.
     fn eval_phi(
         &self,
-        cache: &PhiCache,
+        block: &[[i128; 3]],
         c: Coalition,
         t: Time,
         grand_value: Option<Util>,
@@ -977,15 +969,14 @@ impl CoalitionLattice {
                     .get(c.bits())
                     .expect("coalition not tracked by this lattice");
                 let (a, b, d) = self.sims[rank].doubled_poly();
-                a * tt * tt + b * tt + d
+                eval_row([a, b, d], tt)
             }
         };
         let w_self = self.fact[size - 1] * own_doubled;
+        let shared = eval_row(block[self.n_orgs], tt);
         let mut phi = vec![0i128; self.n_orgs];
         for p in c.members() {
-            let [a, b, d] = cache.coef[p.0];
-            let doubled = a * tt * tt + b * tt + d;
-            phi[p.0] = (doubled + w_self) / 2;
+            phi[p.0] = (eval_row(block[p.0], tt) - shared + w_self) / 2;
         }
         phi
     }
@@ -1269,8 +1260,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Incremental φ (polynomial caches + delta pushes + rent-to-buy
-        /// evictions) equals a from-scratch recomputation over *random*
+        /// Incremental φ (polynomial caches built once, then kept exact by
+        /// delta pushes) equals a from-scratch recomputation over *random*
         /// traces and event orders, at release times, at completion-driven
         /// in-between times, and after long idle gaps.
         #[test]
@@ -1286,8 +1277,8 @@ mod tests {
                 t += dt; // releases arrive in non-decreasing time order
                 l.release(t, OrgId(org), proc);
                 l.settle(t);
-                // Probe a rotating subset of coalitions (so some caches go
-                // cold and get evicted / rebuilt between probes).
+                // Probe a rotating subset of coalitions (so some caches sit
+                // unread while many pushes land between probes).
                 let probe = Coalition::singleton(Player(
                     probe_orgs[i % probe_orgs.len()] as usize,
                 ))
@@ -1312,6 +1303,51 @@ mod tests {
             let fast = l.shapley_for(grand, end, Some(777));
             let oracle = shapley_oracle(&l, grand, end, Some(777));
             proptest::prop_assert_eq!(fast, oracle);
+        }
+
+        /// The cache invariant on a full k = 5 lattice under long event
+        /// scripts: every cache is built at most once (at most `2^k − 1`
+        /// builds: the proper coalitions and the universe), none is ever
+        /// evicted, and every cached φ equals the oracle at every probe —
+        /// including caches that absorbed many pushes since their last
+        /// read.
+        #[test]
+        fn prop_phi_caches_are_built_once_and_stay_exact(
+            events in proptest::collection::vec((0u64..6, 0u32..5, 1u64..9), 20..60),
+            probes in proptest::collection::vec(1u64..31, 1..6),
+            extra in 1u64..40,
+        ) {
+            let mut l = CoalitionLattice::full_proper(&[1, 2, 1, 1, 2]).unwrap();
+            let grand = Coalition::grand(5);
+            let mut t = 0;
+            for (i, &(dt, org, proc)) in events.iter().enumerate() {
+                t += dt;
+                l.release(t, OrgId(org), proc);
+                l.settle(t);
+                let probe = Coalition::from_bits(probes[i % probes.len()])
+                    .insert(Player(org as usize));
+                let probe = if probe == grand { probe.remove(Player(0)) } else { probe };
+                let fast = l.shapley_for(probe, t, None);
+                proptest::prop_assert_eq!(fast, shapley_oracle(&l, probe, t, None));
+                let value = t as Util * 3;
+                let fast = l.shapley_for(grand, t, Some(value));
+                proptest::prop_assert_eq!(fast, shapley_oracle(&l, grand, t, Some(value)));
+            }
+            let end = t + extra;
+            l.settle(end);
+            for c in grand.proper_subsets() {
+                if c.is_empty() {
+                    continue;
+                }
+                let fast = l.shapley_for(c, end, None);
+                proptest::prop_assert_eq!(fast, shapley_oracle(&l, c, end, None));
+            }
+            let fast = l.shapley_for(grand, end, Some(4321));
+            proptest::prop_assert_eq!(fast, shapley_oracle(&l, grand, end, Some(4321)));
+            let stats = l.stats();
+            // At most 2^k − 1 builds: one per proper coalition plus the universe.
+            proptest::prop_assert!(stats.phi_recomputes < 1 << 5, "{:?}", stats);
+            proptest::prop_assert_eq!(stats.phi_evictions, 0);
         }
     }
 
