@@ -43,7 +43,7 @@ pub use direct_contr::DirectContrScheduler;
 pub use fair_share::{CurrFairShareScheduler, FairShareScheduler, UtFairShareScheduler};
 pub use fifo::{FifoScheduler, RandomScheduler};
 pub use general_ref::GeneralRefScheduler;
-pub use rand_shapley::RandScheduler;
+pub use rand_shapley::{RandScheduler, MAX_PERMUTATIONS};
 pub use ref_exact::RefScheduler;
 pub use registry::{
     BuildContext, Registry, SchedulerFactory, SchedulerKind, SchedulerSpec, SpecError,

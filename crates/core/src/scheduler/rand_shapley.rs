@@ -23,6 +23,11 @@ use coopgame::Player;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The most sampled permutations a `rand` spec may ask for, given or
+/// Hoeffding-derived: the FPRAS sizing at k = 10, ε = 0.1, λ = 0.9 needs
+/// ~46 k, and a budget beyond this would only fail to allocate.
+pub const MAX_PERMUTATIONS: usize = 1 << 20;
+
 /// The randomized approximate fair scheduler.
 #[derive(Clone, Debug)]
 pub struct RandScheduler {

@@ -39,11 +39,12 @@
 use super::{
     CurrFairShareScheduler, DirectContrScheduler, FairShareScheduler, FifoScheduler,
     GeneralRefScheduler, RandScheduler, RandomScheduler, RefScheduler,
-    RoundRobinScheduler, Scheduler, UtFairShareScheduler,
+    RoundRobinScheduler, Scheduler, UtFairShareScheduler, MAX_PERMUTATIONS,
 };
 use crate::model::Trace;
 use crate::spec::{self, Factory, FnFactory, Spec, SpecFailure, SpecKind};
 use crate::utility::{FlowTime, Makespan, ResourceShare, SpUtility, Tardiness};
+use coopgame::sampling::hoeffding_permutations;
 use std::fmt;
 
 /// Why a spec string or a build from a spec was rejected.
@@ -241,7 +242,7 @@ impl SpecKind for SchedulerKind {
     /// |---|---|---|
     /// | `ref` | [`RefScheduler`] | — |
     /// | `general-ref` | [`GeneralRefScheduler`] | `util` = `sp` \| `flowtime` \| `makespan` \| `share` \| `tardiness` |
-    /// | `rand` | [`RandScheduler`] | `perms` (default 15), or `eps` + `lambda` for the Theorem 5.6 sizing |
+    /// | `rand` | [`RandScheduler`] | `perms` (default 15), or `eps` + `lambda` for the Theorem 5.6 sizing; at most [`MAX_PERMUTATIONS`] either way |
     /// | `directcontr` | [`DirectContrScheduler`] | — |
     /// | `fairshare` | [`FairShareScheduler`] | — |
     /// | `utfairshare` | [`UtFairShareScheduler`] | — |
@@ -306,7 +307,9 @@ impl SpecKind for SchedulerKind {
                 vec![spec(15), spec(75)]
             },
             |spec, ctx| {
-                if spec.get("eps").is_some() || spec.get("lambda").is_some() {
+                let (key, perms) = if spec.get("eps").is_some()
+                    || spec.get("lambda").is_some()
+                {
                     if spec.get("perms").is_some() {
                         return Err(spec.bad_param(
                             "perms",
@@ -331,19 +334,23 @@ impl SpecKind for SchedulerKind {
                     }
                     let eps = spec.parsed("eps", 1.0f64)?;
                     let lambda = spec.parsed("lambda", 0.9f64)?;
-                    if eps <= 0.0 {
-                        return Err(spec.bad_param("eps", "must be positive"));
+                    if !(eps.is_finite() && eps > 0.0) {
+                        return Err(spec.bad_param("eps", "must be finite and positive"));
                     }
                     if !(lambda > 0.0 && lambda < 1.0) {
                         return Err(spec.bad_param("lambda", "must be in (0, 1)"));
                     }
-                    return Ok(Box::new(RandScheduler::with_guarantee(
-                        ctx.trace, eps, lambda, ctx.seed,
-                    )));
-                }
-                let perms = spec.parsed("perms", 15usize)?;
-                if perms == 0 {
-                    return Err(spec.bad_param("perms", "need at least one permutation"));
+                    ("eps", hoeffding_permutations(ctx.trace.n_orgs(), eps, lambda))
+                } else {
+                    ("perms", spec.parsed("perms", 15usize)?)
+                };
+                if !(1..=MAX_PERMUTATIONS).contains(&perms) {
+                    return Err(spec.bad_param(
+                        key,
+                        format!(
+                            "{perms} sampled permutations is outside 1..={MAX_PERMUTATIONS}"
+                        ),
+                    ));
                 }
                 Ok(Box::new(RandScheduler::new(ctx.trace, perms, ctx.seed)))
             },
@@ -546,6 +553,44 @@ mod tests {
             }
         }
         assert!(registry.build_str("rand:perms=5", &ctx).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_permutation_budgets_are_typed_errors() {
+        let mut b = Trace::builder();
+        for u in 0..3 {
+            let org = b.org(format!("o{u}"), 1);
+            b.job(org, 0, 1);
+        }
+        let trace = b.build().unwrap();
+        let registry = Registry::default();
+        let ctx = BuildContext { trace: &trace, seed: 0 };
+        let huge = hoeffding_permutations(3, 0.0001, 0.9999);
+        let cases = [
+            ("rand:perms=1000000000", "perms", "1000000000 sampled permutations"),
+            ("rand:eps=0.0001,lambda=0.9999", "eps", &*format!("{huge} sampled")),
+            ("rand:eps=nan,lambda=0.5", "eps", "finite and positive"),
+            ("rand:eps=inf,lambda=0.5", "eps", "finite and positive"),
+            (
+                "rand:eps=1e-300,lambda=0.5",
+                "eps",
+                &*format!("outside 1..={MAX_PERMUTATIONS}"),
+            ),
+        ];
+        for (text, key, needle) in cases {
+            match registry.build_str(text, &ctx) {
+                Err(SpecError::BadParam { scheduler, param, reason }) => {
+                    assert_eq!(
+                        (scheduler.as_str(), param.as_str()),
+                        ("rand", key),
+                        "{text}"
+                    );
+                    assert!(reason.contains(needle), "{text}: {reason}");
+                }
+                Err(other) => panic!("{text}: wrong error {other}"),
+                Ok(_) => panic!("{text} must not build"),
+            }
+        }
     }
 
     #[test]

@@ -98,6 +98,28 @@ fn matrix_covers_the_whole_registry() {
     assert_eq!(reports.len(), registry.names().count());
 }
 
+/// A `rand` spec whose permutation budget is out of range, given or
+/// Hoeffding-derived, makes the CLI exit 1 with the typed parameter error
+/// instead of aborting on the allocation or panicking.
+#[test]
+fn cli_rejects_out_of_range_rand_budgets() {
+    for (spec, key) in [
+        ("rand:perms=1000000000", "perms"),
+        ("rand:eps=0.0001,lambda=0.9999", "eps"),
+        ("rand:eps=nan,lambda=0.5", "eps"),
+        ("rand:eps=inf,lambda=0.5", "eps"),
+        ("rand:eps=1e-300,lambda=0.5", "eps"),
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_fairsched"))
+            .args(["--workload", "fpt:k=3", "--scheduler", spec, "--no-reference"])
+            .output()
+            .expect("fairsched binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{spec}: {stderr}");
+        assert!(stderr.contains(key) && !stderr.contains("panicked"), "{spec}: {stderr}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
