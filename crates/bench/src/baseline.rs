@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --release -p fairsched-bench --bin bench_baseline -- \
-//!     [--paper-scale] [--samples N] [--out BENCH_lattice.json]
+//!     [--paper-scale] [--scale] [--samples N] [--out BENCH_lattice.json]
 //! ```
 //!
 //! # `BENCH_lattice.json` format (schema `fairsched-bench-lattice/v1`)
@@ -14,7 +14,7 @@
 //! | field | meaning |
 //! |---|---|
 //! | `schema` | format tag, bump on breaking change |
-//! | `mode` | `"quick"` (default) or `"paper-scale"` |
+//! | `mode` | `"quick"` (default), `"paper-scale"`, `"scale"` or `"paper-scale+scale"` |
 //! | `reference.label` | provenance of the committed pre-fast-path measurement |
 //! | `reference.ref_k8_wall_ns_min` | REF `k=8` lattice bench, min wall ns, **before** the fast path |
 //! | `cases[]` | one entry per measured scheduler × workload |
@@ -29,7 +29,9 @@
 //! 6, 8 — the same family as `benches/lattice.rs`) plus RAND at `k` = 8;
 //! `--paper-scale` appends a smoke matrix at the paper's experiment size
 //! (LPC-EGEE at scale 1.0, horizon 5·10⁴, 5 organizations) so the numbers
-//! track the configuration Tables 1–2 actually run. Beside the lattice
+//! track the configuration Tables 1–2 actually run; `--scale` appends
+//! REF at `k` = 10 and 12 (`ref/k=10`, `ref/k=12`) and the million-job
+//! tier (`scale/` rows). Beside the lattice
 //! rows sit the user paths that have no scheduler of their own: the serve
 //! round trip (`serve/`), the `experiment run` grid clean and resumed
 //! (`e2e/experiment/`), and the JSON codec (`json/`). The criterion suites
@@ -84,7 +86,8 @@ pub struct LatticeCounters {
     pub phi_recomputes: u64,
     /// Weighted deltas pushed into live φ caches.
     pub phi_deltas_applied: u64,
-    /// φ caches dropped by the rent-to-buy rule.
+    /// φ caches evicted: always 0 (caches live as long as the lattice);
+    /// kept for the benchmark harness until a `[benchmark]` PR retires it.
     pub phi_evictions: u64,
 }
 
@@ -756,6 +759,21 @@ pub fn run_baseline(paper_scale: bool, scale: bool, samples: usize) -> BaselineR
     }
 
     if scale {
+        // The exponential core where φ-cache maintenance dominates: the
+        // k the benchmark's `ref_k10` workload runs, and k = 12 to tell a
+        // constant-factor win from an asymptotic one (horizon halved to
+        // keep the row seconds-long).
+        for (k, horizon) in [(10usize, 2_000), (12, 1_000)] {
+            cases.push(measure(
+                &format!("ref/k={k}"),
+                &bench_workload(k, 5),
+                k,
+                horizon,
+                samples.min(3),
+                RefScheduler::new,
+                |s: &RefScheduler| Some(s.lattice().stats().into()),
+            ));
+        }
         cases.extend(run_scale(samples));
     }
 

@@ -11,8 +11,9 @@
 //! reference) is printed to stderr; the JSON goes to `--out`
 //! (default `BENCH_lattice.json`).
 //!
-//! `--scale` appends the million-job tier (`scale/` rows: 10⁶ jobs over
-//! 100 organizations, non-lattice schedulers). `--compare PATH` turns the
+//! `--scale` appends REF at `k` = 10 and 12 (`ref/k=10`, `ref/k=12`) and
+//! the million-job tier (`scale/` rows: 10⁶ jobs over 100 organizations,
+//! non-lattice schedulers). `--compare PATH` turns the
 //! run into a regression gate: every case name shared with the committed
 //! report at `PATH` is compared on `wall_ns_min`, and the process exits
 //! non-zero if any is slower by more than the tolerance (15% by default;
