@@ -721,9 +721,8 @@ impl CoalitionLattice {
         let s = Coalition::from_bits(bits);
         let s_len = s.len();
         for size in s_len + 1..=self.n_orgs {
-            let w = self.fact[s_len - 1] * self.fact[size - s_len - 1];
-            self.push_rows[size] =
-                [scaled(s_len as i128 * w, delta), scaled(size as i128 * w, delta)];
+            let (g, h) = self.hg_weights(s_len, size);
+            self.push_rows[size] = [scaled(g, delta), scaled(h, delta)];
         }
         let stride = self.n_orgs + 1;
         let mut applied = 0u64;
@@ -745,6 +744,15 @@ impl CoalitionLattice {
             applied += 1;
         }
         self.stats.phi_deltas_applied += applied;
+    }
+
+    /// The `(G, H)` weights of a proper subset of size `s` in a coalition
+    /// of size `c`: `w_out = s!(c−s−1)!` and `w_in + w_out =
+    /// c·(s−1)!(c−s−1)!`, both `(s−1)!(c−s−1)!` times a size.
+    #[inline]
+    fn hg_weights(&self, s: usize, c: usize) -> (i128, i128) {
+        let w = self.fact[s - 1] * self.fact[c - s - 1];
+        (s as i128 * w, c as i128 * w)
     }
 
     /// The `phi_row` slot of a cacheable coalition: its rank, or the extra
@@ -938,10 +946,9 @@ impl CoalitionLattice {
             if poly == (0, 0, 0) {
                 continue;
             }
-            let s_len = s.len();
-            let w = self.fact[s_len - 1] * self.fact[size - s_len - 1];
-            add_row(&mut block[self.n_orgs], scaled(s_len as i128 * w, poly));
-            let h = scaled(size as i128 * w, poly);
+            let (g, h) = self.hg_weights(s.len(), size);
+            add_row(&mut block[self.n_orgs], scaled(g, poly));
+            let h = scaled(h, poly);
             for p in s.members() {
                 add_row(&mut block[p.0], h);
             }
