@@ -18,7 +18,7 @@ use super::lattice::{CoalitionLattice, Policy};
 use super::{OrgPicker, Scheduler, SelectContext, StepBumps};
 use crate::model::{ClusterInfo, JobMeta, MachineId, OrgId, Time, Trace};
 use crate::utility::{SpTracker, Util};
-use coopgame::sampling::{hoeffding_permutations, SampledPrefixes};
+use coopgame::sampling::SampledPrefixes;
 use coopgame::Player;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,13 +61,6 @@ impl RandScheduler {
             picker: OrgPicker::new(k),
             label: format!("Rand(N={n_permutations})"),
         }
-    }
-
-    /// RAND sized by the FPRAS guarantee of Theorem 5.6: `ε`-approximation
-    /// with probability `λ` (for unit-size jobs).
-    pub fn with_guarantee(trace: &Trace, epsilon: f64, lambda: f64, seed: u64) -> Self {
-        let n = hoeffding_permutations(trace.n_orgs(), epsilon, lambda);
-        Self::new(trace, n, seed)
     }
 
     /// Number of sampled permutations.
@@ -200,16 +193,6 @@ mod tests {
         // N=5 this is well under 2^4 · something small.
         assert!(s.n_coalitions() <= 2 * 5 * 4);
         assert_eq!(s.n_permutations(), 5);
-    }
-
-    #[test]
-    fn with_guarantee_uses_hoeffding() {
-        let t = unit_trace(3, 1);
-        let s = RandScheduler::with_guarantee(&t, 1.0, 0.5, 7);
-        assert_eq!(
-            s.n_permutations(),
-            coopgame::sampling::hoeffding_permutations(3, 1.0, 0.5)
-        );
     }
 
     #[test]
