@@ -21,7 +21,7 @@
 //! | `cases[].wall_ns_min` / `wall_ns_mean` | min / mean wall time over `samples` runs |
 //! | `cases[].engine_events` | releases + starts + completions seen by the engine |
 //! | `cases[].events_per_sec` | `engine_events / (wall_ns_min / 1e9)` |
-//! | `cases[].lattice` | the lattice's own work counters ([`LatticeStats`]): settles, rounds, release fan-out, sim starts/completions, φ cache hits / rebuilds / delta pushes / evictions |
+//! | `cases[].lattice` | the lattice's own work counters ([`LatticeStats`]): settles, rounds, release fan-out, sim starts/completions, φ row reads / from-scratch reads / row updates / evictions |
 //! | `summary.ref_k8_wall_ns_min` | this run's REF `k=8` measurement |
 //! | `summary.speedup_vs_reference` | `reference / current` (≥ 3× is the PR-2 acceptance bar) |
 //!
@@ -80,14 +80,14 @@ pub struct LatticeCounters {
     pub sim_starts: u64,
     /// Hypothetical completions applied across sims.
     pub sim_completions: u64,
-    /// φ reads served from a live polynomial cache.
+    /// φ reads served from the potential rows.
     pub phi_cache_hits: u64,
-    /// φ from-scratch polynomial builds.
+    /// φ reads evaluated from scratch (0 on REF's lattice).
     pub phi_recomputes: u64,
-    /// Weighted deltas pushed into live φ caches.
+    /// Potential rows updated by delta pushes.
     pub phi_deltas_applied: u64,
-    /// φ caches evicted: always 0 (caches live as long as the lattice);
-    /// kept for the benchmark harness until a `[benchmark]` PR retires it.
+    /// Always 0 (rows live as long as the lattice); kept for the
+    /// benchmark harness until a `[benchmark]` PR retires it.
     pub phi_evictions: u64,
 }
 

@@ -28,14 +28,17 @@ impl Coalition {
     /// The empty coalition.
     pub const EMPTY: Coalition = Coalition(0);
 
+    /// The most players a coalition can hold: the width of its bitmask.
+    pub const MAX_PLAYERS: usize = 64;
+
     /// The grand coalition of players `0..n`.
     ///
     /// # Panics
-    /// Panics if `n > 64`.
+    /// Panics if `n > Coalition::MAX_PLAYERS`.
     #[inline]
     pub fn grand(n: usize) -> Self {
-        assert!(n <= 64, "at most 64 players are supported");
-        if n == 64 {
+        assert!(n <= Self::MAX_PLAYERS, "at most 64 players are supported");
+        if n == Self::MAX_PLAYERS {
             Coalition(u64::MAX)
         } else {
             Coalition((1u64 << n) - 1)

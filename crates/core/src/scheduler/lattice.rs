@@ -40,31 +40,29 @@
 //!    completed slot sum (the same closed forms [`SpTracker`] uses, summed
 //!    over the members). `value_of` is therefore O(1) — no per-member
 //!    tracker walk — and evaluating at a *later* `t` costs nothing.
-//! 3. **Incremental Shapley.** `shapley_for(C)` is served from a cached
-//!    per-coalition φ *polynomial* (the weighted sum of the subset value
-//!    polynomials, stored doubled so all arithmetic stays in exact
-//!    integers). Caches are maintained **incrementally** and never
-//!    evicted: whenever a sim starts or completes a job, its
-//!    value-polynomial delta `(Δa, Δb, Δc)` is pushed — with the correct
-//!    subset weights — into every existing superset cache
-//!    ([`Coalition::supersets_within`]), so a cached φ read is a pure
-//!    `O(|C|)` evaluation. The `O(|C|·2^|C|)` from-scratch build happens
-//!    exactly once per coalition, on its first contested read, so a
-//!    lattice performs at most `2^k − 1` builds; after that, cost is
-//!    proportional to how much of the lattice *actually changes*. Each
-//!    cache is split into per-member rows `H_u` and one shared row `G`
-//!    (`φ_u = H_u − G`), so a push from `S` adds precomputed per-size
-//!    deltas to `G` and to the `|S|` rows of `S` only — no
-//!    multiplication per superset, and no touch of `C ∖ S`. All caches
-//!    live in one grow-only arena. Settled sims — empty queues, no
-//!    pending completions — emit no deltas and therefore cost nothing, at
-//!    any lattice size, and sims whose pick is forced (a single eligible
-//!    organization — every singleton, in particular) never materialize a
-//!    cache at all. Deltas are exact integers and addition commutes, so
-//!    cached φ is bit-for-bit the from-scratch value; a start/completion
-//!    delta also evaluates to 0 at its own event time, which keeps φ
-//!    vectors read earlier in the same round exact. Only `Policy::Fair`
-//!    lattices pay for (or benefit from) this machinery.
+//! 3. **Shapley through the potential.** `shapley_for(C)` reads one
+//!    row per coalition, via the Hart–Mas-Colell potential `P`
+//!    (`φ_u(C) = P(C) − P(C ∖ u)`). Every `Policy::Fair` coalition `X`
+//!    (and the universe, tracked or not) owns one doubled
+//!    `[quad, lin, cons]` row
+//!    `D_X = Σ_{∅≠S⊊X} (|S|−1)!(|X|−|S|)!·2v(S)` over its proper
+//!    subsets' value polynomials, so all arithmetic stays in exact
+//!    integers. With `A_X = D_X + (|X|−1)!·2v(X)` (and `A_∅ = 0`), a
+//!    read is `2·|C|!·φ_u = A_C − |C|·A_{C∖u}`: `|C| + 1` row
+//!    evaluations and `|C|` value polynomials, since subset closure
+//!    tracks every `C ∖ u`. Every sim starts with a zero polynomial, so
+//!    all-zero rows are exact at construction: there is no build step.
+//!    Whenever a sim `S` starts or completes a job, its value-polynomial
+//!    delta `Δ` is pushed into every superset row
+//!    ([`Coalition::supersets_within`]) as `(|S|−1)!(|X|−|S|)!·Δ` — one
+//!    row addition per superset, with the weight computed once per
+//!    superset size. Settled sims — empty queues, no pending
+//!    completions — emit no deltas and therefore cost nothing, at any
+//!    lattice size. Deltas are exact integers and addition commutes, so
+//!    φ is bit-for-bit the from-scratch value; a start/completion delta
+//!    also evaluates to 0 at its own event time, which keeps φ vectors
+//!    read earlier in the same round exact. Only `Policy::Fair`
+//!    lattices allocate rows (`n_sims + 1` of them) and push deltas.
 //! 4. **Batched wake-ups.** The event heap stores bare *times*, not
 //!    `(time, sim)` pairs: a release wakes the lattice once per time
 //!    moment instead of pushing one heap entry per tracked coalition per
@@ -76,8 +74,8 @@
 //! values are bit-for-bit identical to the from-scratch implementation
 //! (`tests/golden_refrand.rs` pins this against pre-fast-path fixtures,
 //! and the property tests below check φ against a from-scratch oracle).
-//! [`CoalitionLattice::stats`] exposes counters (settles, rounds, φ cache
-//! hits/rebuilds, …) that the `bench_baseline` harness records into
+//! [`CoalitionLattice::stats`] exposes counters (settles, rounds, φ reads,
+//! row updates, …) that the `bench_baseline` harness records into
 //! `BENCH_lattice.json`.
 //!
 //! Sub-simulations require job durations (to know when hypothetical copies
@@ -386,10 +384,7 @@ impl CoalitionIndex {
     }
 }
 
-/// Sentinel for "no φ cache yet" in [`CoalitionLattice::phi_row`].
-const NO_PHI_ROW: u32 = u32::MAX;
-
-/// Adds a weighted `[quad, lin, cons]` delta to one φ cache row.
+/// Adds a weighted `[quad, lin, cons]` delta to one potential row.
 #[inline]
 fn add_row(row: &mut [i128; 3], delta: [i128; 3]) {
     row[0] += delta[0];
@@ -424,15 +419,18 @@ pub struct LatticeStats {
     pub sim_starts: u64,
     /// Hypothetical job completions applied across all sims.
     pub sim_completions: u64,
-    /// φ served from a cached polynomial (pure evaluation).
+    /// φ reads served from the potential rows: every `Policy::Fair` read
+    /// of a tracked coalition or of the universe.
     pub phi_cache_hits: u64,
-    /// φ polynomial full builds (the `O(2^|C|)` from-scratch path).
+    /// φ reads evaluated from scratch over `value_of` (`O(|C|·2^|C|)`):
+    /// `Policy::Fifo` lattices and coalitions without a row. Always 0 on
+    /// REF's lattice.
     pub phi_recomputes: u64,
-    /// Weighted sim deltas pushed into live φ caches.
+    /// Potential rows updated by delta pushes: one per tracked superset
+    /// of each changed sim.
     pub phi_deltas_applied: u64,
-    /// φ caches evicted: always 0, since caches live as long as the
-    /// lattice; kept for the benchmark harness until a `[benchmark]` PR
-    /// retires it.
+    /// Always 0: potential rows live as long as the lattice; kept for
+    /// the benchmark harness until a `[benchmark]` PR retires it.
     pub phi_evictions: u64,
 }
 
@@ -456,30 +454,23 @@ pub struct CoalitionLattice {
     /// All events strictly before `advanced_to` have been fully processed
     /// (completions applied *and* scheduling rounds run).
     advanced_to: Time,
-    /// Precomputed factorials `0..=n_orgs`.
+    /// Factorials `0..=n_orgs` (`Policy::Fair` only; empty otherwise).
     fact: Vec<i128>,
-    /// The φ cache arena (Fair policy only), grow-only: a coalition gets
-    /// a block of `n_orgs + 1` doubled `[quad, lin, cons]` rows on its
-    /// first contested read — `H_u` at each member's global org id, the
-    /// shared `G` last — and its φ polynomial for member `u` is
-    /// `H_u − G` over its non-empty **proper** subsets. The coalition's
-    /// own value term is added at evaluation time (so REF's `grand_value`
-    /// override needs no separate cache). Kept current by eager delta
-    /// pushes for the lattice's lifetime; empty until the first φ read,
-    /// which lets the push skip the superset walk entirely.
-    phi_rows: Vec<[i128; 3]>,
-    /// Per-rank block index into `phi_rows` ([`NO_PHI_ROW`] = not read
-    /// yet); the extra last slot is the universe when it is untracked.
-    phi_row: Vec<u32>,
-    /// Per superset size, the `[G, H]` weighted deltas of the push in
-    /// progress (scratch for [`Self::push_delta`]).
-    push_rows: Vec<[[i128; 3]; 2]>,
+    /// The potential rows (`Policy::Fair` only; empty otherwise): per
+    /// rank, the doubled `[quad, lin, cons]` row `D_X` over the non-empty
+    /// **proper** subsets of the sim's coalition (see module docs), plus
+    /// one last row for the universe when it is untracked. A coalition's
+    /// own value term is added at read time, so REF's `grand_value`
+    /// override needs no separate row. Exact from construction on.
+    rows: Vec<[i128; 3]>,
+    /// Per superset size, the weighted delta of the push in progress
+    /// (scratch for [`Self::push_delta`]).
+    push_rows: Vec<[i128; 3]>,
     /// Sims with a not-yet-pushed net value delta this round (ranks), the
     /// per-sim accumulated deltas, and the membership marks. Deltas within
     /// one time moment are additive and all evaluate to 0 at that moment,
     /// so one merged superset walk per changed sim per round suffices;
-    /// flushed at the end of each processed time (and before any φ cache
-    /// build, which snapshots live sim state).
+    /// flushed at the end of each processed time.
     pending: Vec<u32>,
     pending_delta: Vec<(Util, Util, Util)>,
     pending_mark: Vec<bool>,
@@ -532,7 +523,8 @@ impl CoalitionLattice {
     }
 
     /// A lattice tracking an explicit set of coalitions with the given
-    /// policy. For [`Policy::Fair`] the set must be subset-closed (checked).
+    /// policy. For [`Policy::Fair`] the set must be subset-closed (checked)
+    /// and span at most 34 organizations (the exact factorial range).
     pub fn with_coalitions(
         machines: &[usize],
         coalitions: &[Coalition],
@@ -568,7 +560,13 @@ impl CoalitionLattice {
                 org_sims[p.0].push(rank as u32);
             }
         }
-        let fact = (0..=n_orgs).map(|i| factorial(i) as i128).collect();
+        let fair = policy == Policy::Fair;
+        let fact = if fair {
+            (0..=n_orgs).map(|i| factorial(i) as i128).collect()
+        } else {
+            Vec::new()
+        };
+        let n_rows = if fair { sims.len() + 1 } else { 0 };
         let n_sims = sims.len();
         CoalitionLattice {
             n_orgs,
@@ -580,9 +578,8 @@ impl CoalitionLattice {
             wake: BinaryHeap::new(),
             advanced_to: 0,
             fact,
-            phi_rows: Vec::new(),
-            phi_row: vec![NO_PHI_ROW; n_sims + 1],
-            push_rows: vec![[[0; 3]; 2]; n_orgs + 1],
+            rows: vec![[0; 3]; n_rows],
+            push_rows: vec![[0; 3]; n_orgs + 1],
             pending: Vec::new(),
             pending_delta: vec![(0, 0, 0); n_sims],
             pending_mark: vec![false; n_sims],
@@ -650,8 +647,8 @@ impl CoalitionLattice {
     }
 
     /// Applies completions at `t` in every sim, runs the scheduling round
-    /// at `t`, then flushes the accumulated per-sim deltas into the live φ
-    /// caches (one merged superset walk per changed sim).
+    /// at `t`, then flushes the accumulated per-sim deltas into the
+    /// potential rows (one merged superset walk per changed sim).
     fn process_time(&mut self, t: Time) {
         self.stats.rounds += 1;
         let fair = self.policy == Policy::Fair;
@@ -683,10 +680,8 @@ impl CoalitionLattice {
         acc.2 += dc;
     }
 
-    /// Pushes every accumulated delta into the live φ caches and clears
-    /// the pending set. Must run before any φ cache *build* (the build
-    /// snapshots live sim state, so a later push would double-count) and
-    /// at the end of every processed time.
+    /// Pushes every accumulated delta into the potential rows and clears
+    /// the pending set; runs at the end of every processed time.
     fn flush_pending(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -705,60 +700,33 @@ impl CoalitionLattice {
         self.pending = pending;
     }
 
-    /// Pushes one sim's doubled-value-polynomial delta into every live
-    /// superset φ cache, weighted exactly as a full build would weight that
-    /// subset: `(|S|−1)!(|C|−|S|)!` for members of `S`,
-    /// `−|S|!(|C|−|S|−1)!` for the rest of `C`. In the `H/G` split that is
-    /// `+w_out·Δ` on `G` and `+(w_in + w_out)·Δ` on `H_u` for `u ∈ S`,
-    /// where `w_in + w_out = |C|·(|S|−1)!(|C|−|S|−1)!`; both depend only on
-    /// `|C|`, so they are computed once per superset size and each
-    /// superset costs `|S| + 1` row additions. With no live caches (before
-    /// the first φ read, and always under `Policy::Fifo`) this is free.
+    /// Pushes one sim's doubled-value-polynomial delta into the potential
+    /// row of every strict superset `X`, weighted `(|S|−1)!(|X|−|S|)!` as
+    /// in `D_X`. The weight depends only on `|X|`, so it is applied once
+    /// per superset size and each superset costs one row addition.
     fn push_delta(&mut self, bits: u64, delta: (Util, Util, Util)) {
-        if self.phi_rows.is_empty() {
-            return;
+        let sub = Coalition::from_bits(bits);
+        let len = sub.len();
+        for size in len + 1..=self.n_orgs {
+            self.push_rows[size] =
+                scaled(self.fact[len - 1] * self.fact[size - len], delta);
         }
-        let s = Coalition::from_bits(bits);
-        let s_len = s.len();
-        for size in s_len + 1..=self.n_orgs {
-            let (g, h) = self.hg_weights(s_len, size);
-            self.push_rows[size] = [scaled(g, delta), scaled(h, delta)];
-        }
-        let stride = self.n_orgs + 1;
         let mut applied = 0u64;
-        for sup in s.supersets_within(Coalition::from_bits(self.universe)) {
+        for sup in sub.supersets_within(Coalition::from_bits(self.universe)) {
             if sup.bits() == bits {
-                continue; // a coalition's own value is added at eval time
+                continue; // a coalition's own value is added at read time
             }
-            let Some(slot) = self.phi_slot(sup.bits()) else { continue };
-            let row = self.phi_row[slot];
-            if row == NO_PHI_ROW {
-                continue;
-            }
-            let [g, h] = self.push_rows[sup.len()];
-            let block = &mut self.phi_rows[row as usize * stride..][..stride];
-            add_row(&mut block[self.n_orgs], g);
-            for p in s.members() {
-                add_row(&mut block[p.0], h);
-            }
+            let Some(slot) = self.row_slot(sup.bits()) else { continue };
+            add_row(&mut self.rows[slot], self.push_rows[sup.len()]);
             applied += 1;
         }
         self.stats.phi_deltas_applied += applied;
     }
 
-    /// The `(G, H)` weights of a proper subset of size `s` in a coalition
-    /// of size `c`: `w_out = s!(c−s−1)!` and `w_in + w_out =
-    /// c·(s−1)!(c−s−1)!`, both `(s−1)!(c−s−1)!` times a size.
+    /// The potential row of a coalition: its rank, or the extra last row
+    /// for the untracked universe.
     #[inline]
-    fn hg_weights(&self, s: usize, c: usize) -> (i128, i128) {
-        let w = self.fact[s - 1] * self.fact[c - s - 1];
-        (s as i128 * w, c as i128 * w)
-    }
-
-    /// The `phi_row` slot of a cacheable coalition: its rank, or the extra
-    /// last slot for the untracked universe.
-    #[inline]
-    fn phi_slot(&self, bits: u64) -> Option<usize> {
+    fn row_slot(&self, bits: u64) -> Option<usize> {
         match self.index.get(bits) {
             Some(rank) => Some(rank),
             None if bits == self.universe => Some(self.sims.len()),
@@ -767,7 +735,7 @@ impl CoalitionLattice {
     }
 
     /// Runs the scheduling round at `t` over all sims (size order). Each
-    /// sim's start deltas are pushed to the φ caches once per round (they
+    /// sim's start deltas are pushed to the potential rows once per round (they
     /// are additive, and a start delta is 0 at `t` itself, so batching
     /// does not change any value read this round).
     fn schedule_round(&mut self, t: Time) {
@@ -861,6 +829,14 @@ impl CoalitionLattice {
         }
     }
 
+    /// The rank of a tracked coalition.
+    ///
+    /// # Panics
+    /// Panics if `c` is untracked.
+    fn rank(&self, c: Coalition) -> usize {
+        self.index.get(c.bits()).expect("coalition not tracked by this lattice")
+    }
+
     /// The value `v(C, t)` of a tracked coalition (or 0 for the empty
     /// coalition). The lattice must be settled at `t`.
     ///
@@ -870,8 +846,7 @@ impl CoalitionLattice {
         if c.is_empty() {
             return 0;
         }
-        let i = self.index.get(c.bits()).expect("coalition not tracked by this lattice");
-        self.sims[i].value_at(t)
+        self.sims[self.rank(c)].value_at(t)
     }
 
     /// Exact Shapley contributions `φ_u · |C|!` for the members of `c` at
@@ -880,10 +855,9 @@ impl CoalitionLattice {
     /// `v` (REF passes the real schedule's value here); otherwise `c` must
     /// be tracked.
     ///
-    /// Served from the per-coalition φ polynomial cache (Fair policy):
-    /// caches are kept current by eager delta pushes, so a cached read is
-    /// a pure O(|C|) evaluation; the `O(|C|·2^|C|)` from-scratch build
-    /// happens only on a coalition's first read.
+    /// On a `Policy::Fair` lattice, a tracked `c` or the universe is read
+    /// from the potential rows in `O(|C|)`; anything else is evaluated
+    /// from scratch over `value_of` in `O(|C|·2^|C|)`.
     ///
     /// Returns a dense vector indexed by global org id (non-members 0).
     pub fn shapley_for(
@@ -895,95 +869,58 @@ impl CoalitionLattice {
         if c.is_empty() {
             return vec![0; self.n_orgs];
         }
-        let stride = self.n_orgs + 1;
+        let own = 2 * grand_value.unwrap_or_else(|| self.value_of(c, t));
         let slot = match self.policy {
-            Policy::Fair => self.phi_slot(c.bits()),
+            Policy::Fair => self.row_slot(c.bits()),
             Policy::Fifo => None,
         };
         let Some(slot) = slot else {
-            let mut block = vec![[0; 3]; stride];
-            self.build_phi_rows(c, &mut block);
-            return self.eval_phi(&block, c, t, grand_value);
-        };
-        if self.phi_row[slot] == NO_PHI_ROW {
             self.stats.phi_recomputes += 1;
-            // The build snapshots live sim state; flush first so the
-            // pending deltas are not applied to it again later.
-            self.flush_pending();
-            let start = self.phi_rows.len();
-            self.phi_row[slot] = (start / stride) as u32;
-            let mut rows = std::mem::take(&mut self.phi_rows);
-            rows.resize(start + stride, [0; 3]);
-            self.build_phi_rows(c, &mut rows[start..]);
-            self.phi_rows = rows;
-        } else {
-            self.stats.phi_cache_hits += 1;
-        }
-        let start = self.phi_row[slot] as usize * stride;
-        self.eval_phi(&self.phi_rows[start..start + stride], c, t, grand_value)
-    }
-
-    /// Builds the doubled φ polynomial of `c` over its non-empty proper
-    /// tracked subsets into a zeroed `H/G` block:
-    ///
-    /// For every proper subset `S ⊂ C` and every member `u`:
-    ///   `u ∈ S: φ_u += (|S|−1)! (|C|−|S|)! v(S)`  (the `+v(S'∪u)` term)
-    ///   `u ∉ S: φ_u −= |S|! (|C|−|S|−1)! v(S)`    (the `−v(S)` term)
-    ///
-    /// stored as `G += |S|!(|C|−|S|−1)! v(S)` and, for `u ∈ S`,
-    /// `H_u += |C|·(|S|−1)!(|C|−|S|−1)! v(S)` (see [`Self::push_delta`]),
-    /// applied to the subset *value polynomials*, so one build serves every
-    /// later `t` until a subset changes.
-    fn build_phi_rows(&self, c: Coalition, block: &mut [[i128; 3]]) {
-        let size = c.len();
-        for s in c.subsets() {
-            if s.is_empty() || s == c {
-                continue; // v(∅) = 0; the S = C term is added at eval time.
-            }
-            let rank =
-                self.index.get(s.bits()).expect("coalition not tracked by this lattice");
-            let poly = self.sims[rank].doubled_poly();
-            if poly == (0, 0, 0) {
-                continue;
-            }
-            let (g, h) = self.hg_weights(s.len(), size);
-            add_row(&mut block[self.n_orgs], scaled(g, poly));
-            let h = scaled(h, poly);
-            for p in s.members() {
-                add_row(&mut block[p.0], h);
-            }
-        }
-    }
-
-    /// Evaluates an `H/G` φ block at `t` and adds the `S = C` self term:
-    /// `(|C|−1)! · v(C, t)` for every member, with `v(C, t)` taken from
-    /// `grand_value` or from `c`'s own sim. All sums are doubled integers;
-    /// the final halving is exact.
-    fn eval_phi(
-        &self,
-        block: &[[i128; 3]],
-        c: Coalition,
-        t: Time,
-        grand_value: Option<Util>,
-    ) -> Vec<i128> {
-        let size = c.len();
-        let tt = t as i128;
-        let own_doubled = match grand_value {
-            Some(g) => 2 * g,
-            None => {
-                let rank = self
-                    .index
-                    .get(c.bits())
-                    .expect("coalition not tracked by this lattice");
-                let (a, b, d) = self.sims[rank].doubled_poly();
-                eval_row([a, b, d], tt)
-            }
+            let fact: Vec<i128> = (0..=c.len()).map(|i| factorial(i) as i128).collect();
+            let potential = |x: Coalition, own: i128| -> i128 {
+                let proper: i128 = x
+                    .subsets()
+                    .filter(|&sub| !sub.is_empty() && sub != x)
+                    .map(|sub| {
+                        fact[sub.len() - 1]
+                            * fact[x.len() - sub.len()]
+                            * 2
+                            * self.value_of(sub, t)
+                    })
+                    .sum();
+                proper + fact[x.len() - 1] * own
+            };
+            return self.phi_from_potentials(c, potential(c, own), |x| {
+                potential(x, 2 * self.value_of(x, t))
+            });
         };
-        let w_self = self.fact[size - 1] * own_doubled;
-        let shared = eval_row(block[self.n_orgs], tt);
+        self.stats.phi_cache_hits += 1;
+        let tt = t as i128;
+        let a_c = eval_row(self.rows[slot], tt) + self.fact[c.len() - 1] * own;
+        self.phi_from_potentials(c, a_c, |x| {
+            // Subset closure (asserted at construction) tracks every
+            // C ∖ u of a tracked C, and of the universe on REF's lattice.
+            let rank = self.rank(x);
+            eval_row(self.rows[rank], tt)
+                + self.fact[x.len() - 1] * 2 * self.sims[rank].value_at(t)
+        })
+    }
+
+    /// `φ_u·|C|! = (A_C − |C|·A_{C∖u}) / 2` for every member `u`, given
+    /// `A_C` and the doubled potential `A_X` of a non-empty proper subset
+    /// (`A_∅ = 0`). All potentials are even, so the halving is exact.
+    fn phi_from_potentials(
+        &self,
+        c: Coalition,
+        a_c: i128,
+        potential: impl Fn(Coalition) -> i128,
+    ) -> Vec<i128> {
+        let size = c.len() as i128;
         let mut phi = vec![0i128; self.n_orgs];
-        for p in c.members() {
-            phi[p.0] = (eval_row(block[p.0], tt) - shared + w_self) / 2;
+        for u in c.members() {
+            let rest = c.remove(u);
+            let a_rest = if rest.is_empty() { 0 } else { potential(rest) };
+            phi[u.0] = (a_c - size * a_rest) / 2;
         }
         phi
     }
@@ -991,7 +928,7 @@ impl CoalitionLattice {
     /// The per-organization utilities inside a tracked coalition's
     /// hypothetical schedule at `t` (dense, non-members 0).
     pub fn org_values_of(&self, c: Coalition, t: Time) -> Vec<Util> {
-        let i = self.index.get(c.bits()).expect("coalition not tracked by this lattice");
+        let i = self.rank(c);
         (0..self.n_orgs).map(|u| self.sims[i].org_value_at(OrgId(u as u32), t)).collect()
     }
 }
@@ -1224,9 +1161,9 @@ mod tests {
     #[test]
     fn cached_phi_matches_oracle_across_event_interleavings() {
         // Drive a full 4-org lattice through an irregular event sequence,
-        // querying φ at every step; the cached polynomial must equal the
+        // querying φ at every step; the potential rows must give the
         // from-scratch oracle every time (including pure time passage with
-        // no new events, where the cache is served verbatim).
+        // no new events, where the rows are read verbatim).
         let mut l = CoalitionLattice::full_proper(&[1, 2, 1, 1]).unwrap();
         let grand = Coalition::grand(4);
         let script: &[(Time, u32, Time)] = &[
@@ -1263,12 +1200,12 @@ mod tests {
         check_at(&mut l, 41);
         let stats = l.stats();
         assert!(stats.phi_cache_hits > 0, "no cache hits: {stats:?}");
-        assert!(stats.phi_recomputes > 0, "no recomputes: {stats:?}");
+        assert_eq!(stats.phi_recomputes, 0, "a Fair read built φ: {stats:?}");
     }
 
     proptest::proptest! {
-        /// Incremental φ (polynomial caches built once, then kept exact by
-        /// delta pushes) equals a from-scratch recomputation over *random*
+        /// Incremental φ (potential rows kept exact by delta pushes from
+        /// t = 0) equals a from-scratch recomputation over *random*
         /// traces and event orders, at release times, at completion-driven
         /// in-between times, and after long idle gaps.
         #[test]
@@ -1312,14 +1249,12 @@ mod tests {
             proptest::prop_assert_eq!(fast, oracle);
         }
 
-        /// The cache invariant on a full k = 5 lattice under long event
-        /// scripts: every cache is built at most once (at most `2^k − 1`
-        /// builds: the proper coalitions and the universe), none is ever
-        /// evicted, and every cached φ equals the oracle at every probe —
-        /// including caches that absorbed many pushes since their last
-        /// read.
+        /// The row invariant on a full k = 5 lattice under long event
+        /// scripts: no φ is ever built or evicted, and every φ equals the
+        /// oracle at every probe — including rows that absorbed many
+        /// pushes since their last read.
         #[test]
-        fn prop_phi_caches_are_built_once_and_stay_exact(
+        fn prop_potential_rows_need_no_builds_and_stay_exact(
             events in proptest::collection::vec((0u64..6, 0u32..5, 1u64..9), 20..60),
             probes in proptest::collection::vec(1u64..31, 1..6),
             extra in 1u64..40,
@@ -1352,10 +1287,77 @@ mod tests {
             let fast = l.shapley_for(grand, end, Some(4321));
             proptest::prop_assert_eq!(fast, shapley_oracle(&l, grand, end, Some(4321)));
             let stats = l.stats();
-            // At most 2^k − 1 builds: one per proper coalition plus the universe.
-            proptest::prop_assert!(stats.phi_recomputes < 1 << 5, "{:?}", stats);
+            proptest::prop_assert_eq!(stats.phi_recomputes, 0, "{:?}", stats);
             proptest::prop_assert_eq!(stats.phi_evictions, 0);
         }
+
+        /// The subset-SUM reduction's configuration: every non-empty
+        /// coalition is tracked, so the universe is a rank of its own.
+        /// Its φ, with and without an external value, and every other
+        /// coalition's φ equal the oracle.
+        #[test]
+        fn prop_every_coalition_lattice_matches_oracle(
+            events in proptest::collection::vec((0u64..5, 0u32..4, 1u64..6), 1..25),
+            extra in 0u64..20,
+            external in 0i64..500,
+        ) {
+            let machines = [1, 1, 2, 1];
+            let all: Vec<Coalition> = (1u64..16).map(Coalition::from_bits).collect();
+            let mut l = CoalitionLattice::with_coalitions(&machines, &all, Policy::Fair);
+            let grand = Coalition::grand(4);
+            let mut t = 0;
+            for &(dt, org, proc) in &events {
+                t += dt;
+                l.release(t, OrgId(org), proc);
+                l.settle(t);
+                let fast = l.shapley_for(grand, t, None);
+                proptest::prop_assert_eq!(fast, shapley_oracle(&l, grand, t, None));
+            }
+            let end = t + extra;
+            l.settle(end);
+            for &c in &all {
+                let fast = l.shapley_for(c, end, None);
+                proptest::prop_assert_eq!(fast, shapley_oracle(&l, c, end, None));
+            }
+            let external = Some(Util::from(external));
+            let fast = l.shapley_for(grand, end, external);
+            proptest::prop_assert_eq!(fast, shapley_oracle(&l, grand, end, external));
+            proptest::prop_assert_eq!(l.stats().phi_recomputes, 0);
+        }
+    }
+
+    #[test]
+    fn push_adds_one_row_per_tracked_superset() {
+        // One job of org 0 starts in each of the 7 proper coalitions
+        // containing 0; each pushes into its strict supersets, all of
+        // which have a row (the universe's is the extra one):
+        // 1·7 (size 1) + 3·3 (size 2) + 3·1 (size 3) = 19.
+        let mut l = CoalitionLattice::full_proper(&[1, 1, 1, 1]).unwrap();
+        l.release(0, OrgId(0), 1);
+        l.settle(0);
+        assert_eq!(l.stats().phi_deltas_applied, 19);
+        l.settle(1); // the 7 completions push the same 19 rows again
+        assert_eq!(l.stats().phi_deltas_applied, 38);
+    }
+
+    #[test]
+    fn fifo_lattice_evaluates_phi_from_scratch() {
+        let all: Vec<Coalition> = (1u64..8).map(Coalition::from_bits).collect();
+        let mut l = CoalitionLattice::with_coalitions(&[1, 2, 1], &all, Policy::Fifo);
+        l.release(0, OrgId(0), 3);
+        l.release(0, OrgId(0), 1);
+        l.release(1, OrgId(2), 2);
+        l.settle(6);
+        for &c in &all {
+            assert_eq!(l.shapley_for(c, 6, None), shapley_oracle(&l, c, 6, None));
+        }
+        let grand = Coalition::grand(3);
+        assert_eq!(
+            l.shapley_for(grand, 6, Some(99)),
+            shapley_oracle(&l, grand, 6, Some(99))
+        );
+        assert_eq!(l.stats().phi_recomputes, 8);
+        assert_eq!(l.stats().phi_cache_hits, 0);
     }
 
     #[test]
@@ -1375,10 +1377,7 @@ mod tests {
             assert_eq!(phi, shapley_oracle(&l, c, t, None));
         }
         let after = l.stats();
-        assert_eq!(
-            after.phi_recomputes, before.phi_recomputes,
-            "settled sims must not trigger φ rebuilds"
-        );
+        assert_eq!(after.phi_recomputes, 0, "a Fair read built φ");
         assert!(after.phi_cache_hits >= before.phi_cache_hits + 9);
         assert!(!first.is_empty());
     }

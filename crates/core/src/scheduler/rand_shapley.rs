@@ -123,8 +123,8 @@ impl Scheduler for RandScheduler {
 
     fn on_admit(&mut self, job: &crate::model::Job) {
         // Same duration-oracle splice as REF: insert at the assigned id,
-        // shifting only unreleased jobs; the sampled lattice's φ caches
-        // stay live and learn of the job at its `on_release`.
+        // shifting only unreleased jobs; the sampled lattice stays live
+        // and learns of the job at its `on_release`.
         self.durations.insert(job.id.index(), job.proc_time);
     }
 

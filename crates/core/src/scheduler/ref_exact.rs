@@ -118,7 +118,7 @@ impl Scheduler for RefScheduler {
     fn on_admit(&mut self, job: &crate::model::Job) {
         // Splice the new duration into the oracle at the id the trace
         // assigned; later (unreleased) jobs shift by one in lockstep with
-        // the trace's renumbering. The lattice and φ caches are untouched:
+        // the trace's renumbering. The lattice and its φ rows are untouched:
         // they only learn of the job at its `on_release`, exactly as they
         // would have in a batch run over the grown trace.
         self.durations.insert(job.id.index(), job.proc_time);

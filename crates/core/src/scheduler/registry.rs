@@ -45,6 +45,7 @@ use crate::model::Trace;
 use crate::spec::{self, Factory, FnFactory, Spec, SpecFailure, SpecKind};
 use crate::utility::{FlowTime, Makespan, ResourceShare, SpUtility, Tardiness};
 use coopgame::sampling::hoeffding_permutations;
+use coopgame::Coalition;
 use std::fmt;
 
 /// Why a spec string or a build from a spec was rejected.
@@ -307,6 +308,13 @@ impl SpecKind for SchedulerKind {
                 vec![spec(15), spec(75)]
             },
             |spec, ctx| {
+                if ctx.trace.n_orgs() > Coalition::MAX_PLAYERS {
+                    return Err(spec.unsupported_trace(format!(
+                        "RAND samples coalitions of at most {} organizations, got {}",
+                        Coalition::MAX_PLAYERS,
+                        ctx.trace.n_orgs()
+                    )));
+                }
                 let (key, perms) = if spec.get("eps").is_some()
                     || spec.get("lambda").is_some()
                 {

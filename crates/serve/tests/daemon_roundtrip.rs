@@ -30,7 +30,7 @@ fn config(scheduler: &str) -> ServeConfig {
 /// The headline test: drain, crash (drop a daemon that accepted a
 /// message but never snapshotted it), reopen, finish — and the final
 /// schedule is byte-identical to a from-scratch batch run over the grown
-/// trace, for the exact REF scheduler whose φ caches the session reuses.
+/// trace, for the exact REF scheduler whose φ rows the session reuses.
 #[test]
 fn crash_replay_reproduces_batch_schedule_bit_for_bit() {
     let dir = temp_dir("crash-replay");

@@ -11,7 +11,7 @@
 //! * [`admit`](SimSession::admit) — splice a new job into the running
 //!   trace (release strictly after the stepped-to mark), **reusing** the
 //!   scheduler's incremental state — the REF family's coalition lattice
-//!   and φ caches are not rebuilt, the new job's duration is spliced into
+//!   and its φ rows are not rebuilt, the new job's duration is spliced into
 //!   the oracle and the lattice learns of it at `on_release`, exactly as
 //!   in a batch run over the grown trace;
 //! * [`snapshot`](SimSession::snapshot) / [`restore`](SimSession::restore)

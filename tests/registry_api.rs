@@ -120,6 +120,23 @@ fn cli_rejects_out_of_range_rand_budgets() {
     }
 }
 
+/// RAND runs on 35 organizations and refuses 65 (more than a
+/// `Coalition` holds) with a typed error, never a panic.
+#[test]
+fn cli_rand_runs_at_35_orgs_and_refuses_65() {
+    for (orgs, code) in [(35, 0), (65, 1)] {
+        let workload = format!("synth:orgs={orgs},preset=lpc,scale=1");
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_fairsched"))
+            .args(["--workload", &workload, "--scheduler", "rand:perms=3"])
+            .args(["--horizon", "200", "--no-reference", "--json", "--metrics", "psi"])
+            .output()
+            .expect("fairsched binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "{orgs} orgs: {stderr}");
+        assert!(!stderr.contains("panicked"), "{orgs} orgs: {stderr}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 

@@ -163,6 +163,47 @@ fn every_scheduler_conformance_spec_builds_and_runs_deterministically() {
     assert_conformant(scheduler_violations(Registry::shared(), &small_trace()));
 }
 
+/// A hand-built trace over `n_orgs` one-machine organizations, each with
+/// one short job.
+fn many_org_trace(n_orgs: usize) -> Trace {
+    let mut b = Trace::builder();
+    for u in 0..n_orgs {
+        let org = b.org(format!("o{u}"), 1);
+        b.job(org, u as u64 % 5, 2);
+    }
+    b.build().unwrap()
+}
+
+/// On traces wide enough to outgrow the exact factorial table (35
+/// organizations) and the 64-bit `Coalition` (65), every conformance
+/// spec either runs — to a schedule or a typed `SimError` — or refuses
+/// the trace with `UnsupportedTrace`; none panics.
+#[test]
+fn every_scheduler_runs_or_refuses_many_org_traces() {
+    let options = SimOptions { horizon: 50, validate: true };
+    let mut panicked = Vec::new();
+    for n_orgs in [35, 65] {
+        let trace = many_org_trace(n_orgs);
+        let specs = Registry::shared().conformance_specs();
+        for spec in specs.into_iter().flat_map(|(_, specs)| specs) {
+            let run = std::panic::catch_unwind(|| {
+                let ctx = BuildContext { trace: &trace, seed: 3 };
+                match Registry::shared().build(&spec, &ctx) {
+                    Ok(mut scheduler) => {
+                        let _ = run_scheduler(&trace, scheduler.as_mut(), options);
+                    }
+                    Err(SpecError::UnsupportedTrace { .. }) => {}
+                    Err(e) => panic!("{spec}: refused with {e}"),
+                }
+            });
+            if run.is_err() {
+                panicked.push(format!("{spec} at {n_orgs} organizations"));
+            }
+        }
+    }
+    assert!(panicked.is_empty(), "panicked: {panicked:?}");
+}
+
 /// A downstream policy: the seeded random baseline with its seed shifted.
 struct ShiftedRandom;
 
