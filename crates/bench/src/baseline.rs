@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --release -p fairsched-bench --bin bench_baseline -- \
-//!     [--paper-scale] [--scale] [--samples N] [--out BENCH_lattice.json]
+//!     [--scale] [--samples N] [--out BENCH_lattice.json]
 //! ```
 //!
 //! # `BENCH_lattice.json` format (schema `fairsched-bench-lattice/v1`)
@@ -14,7 +14,7 @@
 //! | field | meaning |
 //! |---|---|
 //! | `schema` | format tag, bump on breaking change |
-//! | `mode` | `"quick"` (default), `"paper-scale"`, `"scale"` or `"paper-scale+scale"` |
+//! | `mode` | `"quick"` (default) or `"scale"` |
 //! | `reference.label` | provenance of the committed pre-fast-path measurement |
 //! | `reference.ref_k8_wall_ns_min` | REF `k=8` lattice bench, min wall ns, **before** the fast path |
 //! | `cases[]` | one entry per measured scheduler × workload |
@@ -26,18 +26,13 @@
 //! | `summary.speedup_vs_reference` | `reference / current` (≥ 3× is the PR-2 acceptance bar) |
 //!
 //! The *quick* matrix times REF on the FPT growth workloads (`k` = 2, 4,
-//! 6, 8 — the same family as `benches/lattice.rs`) plus RAND at `k` = 8;
-//! `--paper-scale` appends a smoke matrix at the paper's experiment size
-//! (LPC-EGEE at scale 1.0, horizon 5·10⁴, 5 organizations) so the numbers
-//! track the configuration Tables 1–2 actually run; `--scale` appends
-//! REF at `k` = 10 and 12 (`ref/k=10`, `ref/k=12`) and the million-job
-//! tier (`scale/` rows). Beside the lattice
-//! rows sit the user paths that have no scheduler of their own: the serve
-//! round trip (`serve/`), the `experiment run` grid clean and resumed
-//! (`e2e/experiment/`), and the JSON codec (`json/`). The criterion suites
-//! (`cargo bench -p fairsched-bench`) complement this file with
-//! micro-level numbers; CI's `bench-smoke` job runs both and uploads the
-//! JSON as an artifact.
+//! 6, 8) plus RAND at `k` = 8; `--scale` appends REF at `k` = 10 and 12
+//! (`ref/k=10`, `ref/k=12`) and the million-job tier (`scale/` rows).
+//! Beside the lattice rows sit the user paths that have no scheduler of
+//! their own: the serve round trip (`serve/`), the `experiment run` grid
+//! clean and resumed (`e2e/experiment/`), and the JSON codec (`json/`).
+//! CI's `bench-smoke` job runs the `--scale` matrix against the committed
+//! file and uploads the JSON as an artifact.
 
 use fairsched_core::journal::atomic_write;
 use fairsched_core::scheduler::lattice::LatticeStats;
@@ -51,9 +46,7 @@ use fairsched_serve::{Daemon, Message, ServeConfig, SubmissionQueue};
 use fairsched_sim::{run_scheduler, MetricSpec, SimOptions, SimResult, SimSession};
 use fairsched_workloads::spec::{fpt_spec, WorkloadContext, WorkloadRegistry};
 use fairsched_workloads::swf::{self, SwfJob};
-use fairsched_workloads::{
-    generate, synth_spec, to_trace, MachineSplit, PresetName, SynthConfig,
-};
+use fairsched_workloads::{generate, to_trace, MachineSplit, SynthConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -183,7 +176,7 @@ pub struct Summary {
 pub struct BaselineReport {
     /// Format tag ([`SCHEMA`]).
     pub schema: String,
-    /// `"quick"` or `"paper-scale"`.
+    /// `"quick"` or `"scale"`.
     pub mode: String,
     /// The committed pre-change measurement.
     pub reference: ReferencePoint,
@@ -196,11 +189,10 @@ pub struct BaselineReport {
     pub summary: Summary,
 }
 
-/// The canonical lattice-bench workload family (`benches/lattice.rs` uses
-/// the same traces): `2k` users on `2k` machines at load 0.8 — the
-/// workload registry's `fpt:k=<k>` family, whose defaults reproduce the
-/// historical hand-built construction bit for bit, keeping every committed
-/// `BENCH_lattice.json` number comparable.
+/// The canonical lattice-bench workload family: `2k` users on `2k`
+/// machines at load 0.8 — the workload registry's `fpt:k=<k>` family,
+/// whose defaults reproduce the historical hand-built construction bit for
+/// bit, keeping every committed `BENCH_lattice.json` number comparable.
 pub fn bench_workload(k: usize, seed: u64) -> Trace {
     WorkloadRegistry::shared()
         .build(&fpt_spec(k), &WorkloadContext { seed })
@@ -684,13 +676,12 @@ fn measure<S: Scheduler, B: Fn(&Trace) -> S, L: Fn(&S) -> Option<LatticeCounters
     }
 }
 
-/// Runs the baseline matrix and assembles the report. `paper_scale`
-/// appends the paper-size LPC smoke matrix; `scale` appends the
-/// million-job tier ([`run_scale`]).
-pub fn run_baseline(paper_scale: bool, scale: bool, samples: usize) -> BaselineReport {
+/// Runs the baseline matrix and assembles the report. `scale` appends
+/// REF at `k` = 10 and 12 and the million-job tier ([`run_scale`]).
+pub fn run_baseline(scale: bool, samples: usize) -> BaselineReport {
     let mut cases = Vec::new();
 
-    // The FPT growth matrix (same family as benches/lattice.rs).
+    // The FPT growth matrix.
     for k in [2usize, 4, 6, 8] {
         let trace = bench_workload(k, 5);
         cases.push(measure(
@@ -728,36 +719,6 @@ pub fn run_baseline(paper_scale: bool, scale: bool, samples: usize) -> BaselineR
     cases.extend(run_experiment_grid(samples));
     cases.extend(run_json_codec(samples));
 
-    if paper_scale {
-        // Smoke matrix at the paper's experiment size: LPC-EGEE, scale
-        // 1.0, horizon 5·10⁴, 5 organizations (the Table 1 cell REF
-        // actually pays for) — the registry spec for the same trace the
-        // hand-built construction used to produce.
-        let spec =
-            synth_spec(PresetName::LpcEgee, 1.0, 5, MachineSplit::Zipf(1.0), 50_000);
-        let trace = WorkloadRegistry::shared()
-            .build(&spec, &WorkloadContext { seed: 42 })
-            .expect("paper-scale LPC preset builds");
-        cases.push(measure(
-            "paper/lpc/ref",
-            &trace,
-            5,
-            50_000,
-            samples.min(3),
-            RefScheduler::new,
-            |s: &RefScheduler| Some(s.lattice().stats().into()),
-        ));
-        cases.push(measure(
-            "paper/lpc/rand15",
-            &trace,
-            5,
-            50_000,
-            samples.min(3),
-            |t| RandScheduler::new(t, 15, 9),
-            |s: &RandScheduler| Some(s.lattice().stats().into()),
-        ));
-    }
-
     if scale {
         // The exponential core where φ-cache maintenance dominates: the
         // k the benchmark's `ref_k10` workload runs, and k = 12 to tell a
@@ -784,12 +745,7 @@ pub fn run_baseline(paper_scale: bool, scale: bool, samples: usize) -> BaselineR
         .find(|c| c.name == "ref/k=8")
         .expect("ref/k=8 is always measured")
         .wall_ns_min;
-    let mode = match (paper_scale, scale) {
-        (false, false) => "quick",
-        (true, false) => "paper-scale",
-        (false, true) => "scale",
-        (true, true) => "paper-scale+scale",
-    };
+    let mode = if scale { "scale" } else { "quick" };
     BaselineReport {
         schema: SCHEMA.to_string(),
         mode: mode.to_string(),
@@ -963,7 +919,7 @@ mod tests {
     fn quick_baseline_smoke_produces_counters_and_summary() {
         // One sample on the small ks only would need a custom matrix; the
         // full quick matrix with 1 sample stays test-sized.
-        let report = run_baseline(false, false, 1);
+        let report = run_baseline(false, 1);
         assert_eq!(report.schema, SCHEMA);
         assert_eq!(report.mode, "quick");
         assert!(report.cases.iter().any(|c| c.name == "ref/k=8"));

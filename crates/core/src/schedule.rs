@@ -232,7 +232,7 @@ impl Schedule {
     /// The greediness check: a single event sweep over sorted starts,
     /// completions, and releases with running counters — `O(n log n)` in
     /// the number of jobs and schedule entries, so `validate(true)` stays
-    /// usable at `--paper-scale` (the old implementation rescanned every
+    /// usable at paper scale (the old implementation rescanned every
     /// entry and every job at every event time: `O(jobs²·events)`).
     ///
     /// At each event time `t < horizon`:

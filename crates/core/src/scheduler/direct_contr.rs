@@ -37,7 +37,6 @@ pub struct DirectContrScheduler {
     picker: OrgPicker,
     owners: Vec<OrgId>,
     rng: StdRng,
-    bumps_enabled: bool,
 }
 
 impl DirectContrScheduler {
@@ -52,15 +51,7 @@ impl DirectContrScheduler {
             picker: OrgPicker::new(0),
             owners: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            bumps_enabled: true,
         }
-    }
-
-    /// Disables the within-time-step bumps (Figure 9's `finUt/finCon += 1`
-    /// on start) — the ablation of DESIGN.md §2.
-    pub fn without_step_bumps(mut self) -> Self {
-        self.bumps_enabled = false;
-        self
     }
 }
 
@@ -86,10 +77,8 @@ impl Scheduler for DirectContrScheduler {
         self.contribution[owner.index()].on_start(t);
         // Figure 9's `finUt[org] += 1; finCon[own(m)] += 1` on start: the
         // one-step-ahead worth of the unit just placed.
-        if self.bumps_enabled {
-            self.psi_bumps.add(t, job.org, 1);
-            self.phi_bumps.add(t, owner, 1);
-        }
+        self.psi_bumps.add(t, job.org, 1);
+        self.phi_bumps.add(t, owner, 1);
     }
 
     fn on_complete(&mut self, t: Time, job: &JobMeta, machine: MachineId, start: Time) {

@@ -33,7 +33,6 @@ pub struct RefScheduler {
     trackers: Vec<SpTracker>,
     bumps: StepBumps,
     picker: OrgPicker,
-    bumps_enabled: bool,
 }
 
 impl RefScheduler {
@@ -53,7 +52,6 @@ impl RefScheduler {
             trackers: vec![SpTracker::new(); k],
             bumps: StepBumps::new(k),
             picker: OrgPicker::new(k),
-            bumps_enabled: true,
         })
     }
 
@@ -65,15 +63,6 @@ impl RefScheduler {
     pub fn new(trace: &Trace) -> Self {
         // lint:allow(panic-free) the documented panic of the convenience constructor; anything that takes its trace from outside input (the registry) calls try_new
         Self::try_new(trace).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Disables the within-time-step utility bumps (see
-    /// [`StepBumps`]) — the ablation of DESIGN.md §2's one-step-ahead
-    /// marginal: without bumps, an organization with the top surplus
-    /// monopolizes every machine freed in the same time moment.
-    pub fn without_step_bumps(mut self) -> Self {
-        self.bumps_enabled = false;
-        self
     }
 
     /// The realized `ψ_sp` vector of the real schedule at `t` (as tracked
@@ -131,9 +120,7 @@ impl Scheduler for RefScheduler {
 
     fn on_start(&mut self, t: Time, job: &JobMeta, _machine: MachineId) {
         self.trackers[job.org.index()].on_start(t);
-        if self.bumps_enabled {
-            self.bumps.add(t, job.org, 1);
-        }
+        self.bumps.add(t, job.org, 1);
     }
 
     fn on_complete(&mut self, t: Time, job: &JobMeta, _machine: MachineId, start: Time) {

@@ -178,6 +178,8 @@ mod tests {
             vec![(0, 3), (0, 4), (0, 3), (3, 6), (3, 3), (4, 6), (6, 3), (9, 3), (10, 4)];
         assert_eq!(sp_value_of_parts(&o1, 13), 262);
         assert_eq!(sp_value_of_parts(&o1, 14), 297);
+        let flow_time: Time = o1.iter().map(|&(s, p)| s + p).sum(); // releases all 0
+        assert_eq!(flow_time, 70);
 
         // "If there was no job J(2)1, J9 would start at 9 instead of 10 and
         // ψ_sp at 14 would increase by 4."

@@ -19,7 +19,7 @@ pub struct SimOptions {
     pub horizon: Time,
     /// Validate the produced schedule against every model invariant
     /// (including greediness) before returning. A sorted event sweep —
-    /// `O(n log n)` in jobs + entries — cheap enough for `--paper-scale`
+    /// `O(n log n)` in jobs + entries — cheap enough for paper-scale
     /// runs.
     pub validate: bool,
 }

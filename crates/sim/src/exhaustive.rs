@@ -149,12 +149,18 @@ mod tests {
 
     #[test]
     fn figure7_envelope_is_exactly_100_vs_75() {
-        let (trace, t) = figure7_family(2, 3); // 4 machines, p=3, T=6
-        let env = greedy_envelope(&trace, t);
-        let capacity = 4 * t; // 24
-        assert_eq!(env.max_units, capacity, "best greedy achieves 100%");
-        assert_eq!(env.min_units * 4, capacity * 3, "worst greedy achieves exactly 75%");
-        assert!(env.paths > 1);
+        for (m_half, p) in [(2, 3), (2, 10), (3, 4)] {
+            let (trace, t) = figure7_family(m_half, p);
+            let env = greedy_envelope(&trace, t);
+            let capacity = 2 * m_half as Time * t;
+            assert_eq!(env.max_units, capacity, "best greedy achieves 100%");
+            assert_eq!(
+                env.min_units * 4,
+                capacity * 3,
+                "worst greedy achieves exactly 75%"
+            );
+            assert!(env.paths > 1);
+        }
     }
 
     #[test]

@@ -403,7 +403,7 @@ impl<'a> Simulation<'a> {
 
     /// Enables post-run validation of every model invariant (a sorted
     /// event sweep, `O(n log n)` in jobs + entries — usable even at
-    /// `--paper-scale`).
+    /// paper scale).
     pub fn validate(mut self, validate: bool) -> Self {
         self.validate = validate;
         self

@@ -10,7 +10,7 @@
 //!
 //! Presets can be scaled down (machines and users together, preserving the
 //! load regime) so the exponential REF reference stays cheap on small
-//! machines; `--paper-scale` in the bench harness uses scale 1.
+//! machines; the paper's own experiments run at scale 1.
 
 use crate::synth::SynthConfig;
 

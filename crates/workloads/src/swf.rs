@@ -84,11 +84,12 @@ impl<'a> Iterator for AsciiWords<'a> {
     }
 }
 
-/// A field's integer value. `-?[0-9]{1,15}` is read exactly by hand (every
-/// such value is exact in `f64`, so this agrees with the fallback); every
-/// other word goes through `str::parse::<f64>`, truncated toward zero and
-/// saturated, since some archive logs carry float fields.
-fn parse_field(word: &str) -> Option<i64> {
+/// A field's integer value, or why it has none. `-?[0-9]{1,15}` is read
+/// exactly by hand; longer integer words (`[+-]?[0-9]{16,}`) are read
+/// exactly by `str::parse::<i64>`, and one outside `i64` is out of range.
+/// Every other word goes through `str::parse::<f64>`, truncated toward
+/// zero and saturated, since some archive logs carry float fields.
+fn parse_field(word: &str) -> Result<i64, &'static str> {
     let (negative, digits) = match word.strip_prefix('-') {
         Some(digits) => (true, digits),
         None => (false, word),
@@ -96,9 +97,13 @@ fn parse_field(word: &str) -> Option<i64> {
     if (1..=15).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
         let magnitude =
             digits.bytes().fold(0i64, |decimal, b| decimal * 10 + i64::from(b - b'0'));
-        return Some(if negative { -magnitude } else { magnitude });
+        return Ok(if negative { -magnitude } else { magnitude });
     }
-    word.parse::<f64>().ok().map(|v| v as i64)
+    let unsigned = word.strip_prefix(['+', '-']).unwrap_or(word);
+    if unsigned.len() > 15 && unsigned.bytes().all(|b| b.is_ascii_digit()) {
+        return word.parse::<i64>().map_err(|_| "out of range");
+    }
+    word.parse::<f64>().map(|v| v as i64).map_err(|_| "is not numeric")
 }
 
 /// Builds a record from one line's words. `Ok(None)` for comment, blank
@@ -120,11 +125,10 @@ fn record<'a>(
     if found < FIELDS {
         return Err(error(format!("expected at least 12 fields, found {found}")));
     }
-    let field = |idx: usize| {
-        parse_field(fields[idx]).ok_or_else(|| {
-            error(format!("field {} is not numeric: {:?}", idx + 1, fields[idx]))
-        })
+    let bad = |idx: usize, why: &str| {
+        error(format!("field {} {why}: {:?}", idx + 1, fields[idx]))
     };
+    let field = |idx: usize| parse_field(fields[idx]).map_err(|why| bad(idx, why));
     let job_number = field(0)?;
     let submit = field(1)?;
     let runtime = field(3)?;
@@ -134,9 +138,7 @@ fn record<'a>(
         return Ok(None); // cancelled / failed record
     }
     let narrow = |idx: usize, value: i64| {
-        u32::try_from(value).map_err(|_| {
-            error(format!("field {} out of range: {:?}", idx + 1, fields[idx]))
-        })
+        u32::try_from(value).map_err(|_| bad(idx, "out of range"))
     };
     Ok(Some(SwfJob {
         job_number,
@@ -502,8 +504,8 @@ mod tests {
 ";
 
     /// The plain `&str` line parser the byte scanner replaced, kept as the
-    /// differential oracle: `split_whitespace` words and `parse::<f64>` on
-    /// every field.
+    /// differential oracle: `split_whitespace` words, `parse::<i64>` on
+    /// integer words and `parse::<f64>` on every other field.
     fn parse_line(line_no: usize, raw: &str) -> Result<Option<SwfJob>, SwfError> {
         let line = raw.trim();
         if line.is_empty() || line.starts_with(';') {
@@ -517,9 +519,17 @@ mod tests {
             });
         }
         let parse_i64 = |idx: usize| -> Result<i64, SwfError> {
-            fields[idx].parse::<f64>().map(|v| v as i64).map_err(|_| SwfError {
+            let word = fields[idx];
+            let unsigned = word.strip_prefix(['+', '-']).unwrap_or(word);
+            if !unsigned.is_empty() && unsigned.bytes().all(|b| b.is_ascii_digit()) {
+                return word.parse::<i64>().map_err(|_| SwfError {
+                    line: line_no,
+                    message: format!("field {} out of range: {:?}", idx + 1, word),
+                });
+            }
+            word.parse::<f64>().map(|v| v as i64).map_err(|_| SwfError {
                 line: line_no,
-                message: format!("field {} is not numeric: {:?}", idx + 1, fields[idx]),
+                message: format!("field {} is not numeric: {:?}", idx + 1, word),
             })
         };
         let job_number = parse_i64(0)?;
@@ -620,6 +630,8 @@ mod tests {
         // Some archive logs carry float runtimes.
         let jobs = parse("1 0 10 99.5 2 -1 -1 2 -1 -1 1 7\n").unwrap();
         assert_eq!(jobs[0].runtime, 99);
+        let jobs = parse("1 12.5 10 1e3 2 -1 -1 2 -1 -1 1 7\n").unwrap();
+        assert_eq!((jobs[0].submit, jobs[0].runtime), (12, 1_000));
     }
 
     /// Processor counts and user ids that do not fit `u32` are typed
@@ -634,6 +646,8 @@ mod tests {
             ("1 0 10 100 1e10 -1 -1 2 -1 -1 1 7", 5),
             ("1 0 10 100 2 -1 -1 2 -1 -1 1 4294967296", 12),
             ("1 0 10 100 2 -1 -1 2 -1 -1 1 inf", 12),
+            ("1 9223372036854775808 10 100 2 -1 -1 2 -1 -1 1 7", 2),
+            ("-9223372036854775809 0 10 100 2 -1 -1 2 -1 -1 1 7", 1),
         ] {
             let err = parse(&format!("; header\n{line}\n")).unwrap_err();
             assert_eq!(err.line, 2, "{line}");
@@ -647,6 +661,16 @@ mod tests {
         // clamp to 0 as before.
         let jobs = parse("1 0 10 100 4294967295 -1 -1 2 -1 -1 1 4294967295\n").unwrap();
         assert_eq!((jobs[0].processors, jobs[0].user), (u32::MAX, u32::MAX));
+        // Integers past 15 digits are read exactly, not through `f64`
+        // (which rounds 10^16 + 7 to 10^16 + 8), up to `i64::MAX`.
+        let jobs = parse(
+            "-10000000000000007 10000000000000007 10 9223372036854775807 \
+             2 -1 -1 2 -1 -1 1 7\n",
+        )
+        .unwrap();
+        assert_eq!(jobs[0].job_number, -10_000_000_000_000_007);
+        assert_eq!(jobs[0].submit, 10_000_000_000_000_007);
+        assert_eq!(jobs[0].runtime, i64::MAX as Time);
         assert_eq!(parse("1 0 10 100 2 -1 -1 2 -1 -1 1 -5\n").unwrap()[0].user, 0);
     }
 

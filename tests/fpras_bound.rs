@@ -4,10 +4,13 @@
 
 use fairsched::coopgame::sampling::{hoeffding_epsilon, hoeffding_permutations};
 use fairsched::core::scheduler::{RandScheduler, RefScheduler};
+use fairsched::core::utility::Util;
+use fairsched::core::Trace;
 use fairsched::sim::{run_scheduler, SimOptions};
 use fairsched::workloads::{generate, to_trace, MachineSplit, SynthConfig};
 
-fn relative_error(k: usize, n_perms: usize, seed: u64, horizon: u64) -> f64 {
+/// A unit-job instance and the utility vector of its exact fair schedule.
+fn instance(k: usize, seed: u64, horizon: u64) -> (Trace, Vec<Util>) {
     let config = SynthConfig {
         n_users: k * 3,
         horizon,
@@ -22,15 +25,24 @@ fn relative_error(k: usize, n_perms: usize, seed: u64, horizon: u64) -> f64 {
     let fair =
         run_scheduler(&trace, &mut reference, SimOptions { horizon, validate: false })
             .expect("valid run");
-    let mut rand = RandScheduler::new(&trace, n_perms, seed ^ 0xf00d);
-    let result =
-        run_scheduler(&trace, &mut rand, SimOptions { horizon, validate: false })
-            .expect("valid run");
-    let norm: i128 = fair.psi.iter().sum();
+    (trace, fair.psi)
+}
+
+/// RAND's relative distance `‖ψ − ψ*‖ / ‖ψ*‖` from the fair vector `fair`.
+fn relative_error(
+    (trace, fair): &(Trace, Vec<Util>),
+    n_perms: usize,
+    seed: u64,
+    horizon: u64,
+) -> f64 {
+    let mut rand = RandScheduler::new(trace, n_perms, seed ^ 0xf00d);
+    let result = run_scheduler(trace, &mut rand, SimOptions { horizon, validate: false })
+        .expect("valid run");
+    let norm: i128 = fair.iter().sum();
     if norm == 0 {
         return 0.0;
     }
-    let delta: i128 = result.psi.iter().zip(&fair.psi).map(|(a, b)| (a - b).abs()).sum();
+    let delta: i128 = result.psi.iter().zip(fair).map(|(a, b)| (a - b).abs()).sum();
     delta as f64 / norm as f64
 }
 
@@ -38,10 +50,11 @@ fn relative_error(k: usize, n_perms: usize, seed: u64, horizon: u64) -> f64 {
 fn rand_error_is_within_the_hoeffding_guarantee() {
     let k = 4;
     let lambda = 0.9;
-    for n_perms in [5usize, 15, 75] {
-        let eps = hoeffding_epsilon(k, n_perms, lambda);
-        for seed in 0..6 {
-            let err = relative_error(k, n_perms, seed, 600);
+    for seed in 0..6 {
+        let instance = instance(k, seed, 600);
+        for n_perms in [1usize, 3, 5, 15, 75, 300] {
+            let eps = hoeffding_epsilon(k, n_perms, lambda);
+            let err = relative_error(&instance, n_perms, seed, 600);
             assert!(
                 err <= eps,
                 "seed {seed}, N={n_perms}: error {err:.4} above guarantee {eps:.4}"
@@ -53,8 +66,14 @@ fn rand_error_is_within_the_hoeffding_guarantee() {
 #[test]
 fn rand_error_shrinks_with_more_permutations() {
     let k = 4;
+    let instances: Vec<_> = (0..8).map(|s| instance(k, s, 500)).collect();
     let mean = |n_perms: usize| -> f64 {
-        (0..8).map(|s| relative_error(k, n_perms, s, 500)).sum::<f64>() / 8.0
+        instances
+            .iter()
+            .zip(0..)
+            .map(|(i, s)| relative_error(i, n_perms, s, 500))
+            .sum::<f64>()
+            / 8.0
     };
     let coarse = mean(1);
     let fine = mean(75);

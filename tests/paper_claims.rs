@@ -4,7 +4,8 @@
 
 use fairsched::coopgame::{Coalition, Player, TabularGame};
 use fairsched::core::scheduler::{
-    FifoScheduler, RandomScheduler, RoundRobinScheduler, Scheduler,
+    FairShareScheduler, FifoScheduler, RandomScheduler, RefScheduler,
+    RoundRobinScheduler, Scheduler,
 };
 use fairsched::core::utility::{sp_vector, FlowTime, Utility};
 use fairsched::core::{OrgId, Trace};
@@ -98,24 +99,31 @@ fn proposition_5_5_game_is_not_supermodular() {
 /// and random instances never fall below 3/4 of the best greedy schedule.
 #[test]
 fn theorem_6_2_real_schedulers_within_bound() {
-    let (trace, t) = figure7_family(2, 4);
-    let env = greedy_envelope(&trace, t);
-    assert_eq!(env.min_units * 4, env.max_units * 3); // tight family
+    for (m_half, p) in [(2, 4), (2, 10)] {
+        let (trace, t) = figure7_family(m_half, p);
+        let env = greedy_envelope(&trace, t);
+        assert_eq!(env.min_units * 4, env.max_units * 3); // tight family
 
-    let schedulers: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(FifoScheduler::new()),
-        Box::new(RoundRobinScheduler::new()),
-        Box::new(RandomScheduler::new(3)),
-    ];
-    for mut s in schedulers {
-        let r =
-            run_scheduler(&trace, s.as_mut(), SimOptions { horizon: t, validate: false })
-                .expect("valid run");
-        assert!(
-            r.busy_time * 4 >= env.max_units * 3,
-            "{} below the greedy bound",
-            r.scheduler
-        );
+        let schedulers: Vec<Box<dyn Scheduler>> = vec![
+            Box::new(FifoScheduler::new()),
+            Box::new(RoundRobinScheduler::new()),
+            Box::new(RandomScheduler::new(3)),
+            Box::new(RefScheduler::new(&trace)),
+            Box::new(FairShareScheduler::new()),
+        ];
+        for mut s in schedulers {
+            let r = run_scheduler(
+                &trace,
+                s.as_mut(),
+                SimOptions { horizon: t, validate: false },
+            )
+            .expect("valid run");
+            assert!(
+                r.busy_time * 4 >= env.max_units * 3,
+                "{} below the greedy bound on (m, p) = ({m_half}, {p})",
+                r.scheduler
+            );
+        }
     }
 }
 
@@ -151,6 +159,10 @@ fn figure_2_schedule_through_the_engine() {
     let psi14 = sp_vector(&trace, &r.schedule, 14);
     assert_eq!(psi13[0], 262, "O1 utility at t=13 (paper: 262)");
     assert_eq!(psi14[0], 297, "O1 utility at t=14 (paper: 297)");
+    // The figure releases every job at 0, so its flow time is the sum of
+    // O1's completion times.
+    let completions: u64 = r.schedule.entries_of(o1).map(|e| e.completion()).sum();
+    assert_eq!(completions, 70, "O1 flow time at t=14 (paper: 70)");
 }
 
 /// Unit jobs: any two greedy policies give the same number of completed
