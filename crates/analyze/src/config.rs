@@ -403,10 +403,10 @@ mod tests {
         let text = r#"
 # comment
 [[allow]]
-rule = "panic-free"
-path = "crates/bench/src/baseline.rs"
+rule = "time-arith"
+path = "crates/sim/src/exhaustive.rs"
 count = 3
-reason = "bench harness, trusted schedulers"
+reason = "instance families with small fixed sizes"
 
 [[allow]]
 rule = "spec-literal"
@@ -416,16 +416,16 @@ reason = "deliberate malformed fixtures"
 "#;
         let a = Allowlist::parse("lint_allow.toml", text).unwrap();
         assert_eq!(a.entries.len(), 2);
-        assert_eq!(a.allowance("panic-free", "crates/bench/src/baseline.rs"), 3);
-        assert_eq!(a.allowance("panic-free", "crates/core/src/spec.rs"), 0);
+        assert_eq!(a.allowance("time-arith", "crates/sim/src/exhaustive.rs"), 3);
+        assert_eq!(a.allowance("time-arith", "crates/core/src/spec.rs"), 0);
     }
 
     #[test]
     fn allowlist_requires_reason() {
-        let text = "[[allow]]\nrule = \"panic-free\"\npath = \"x.rs\"\ncount = 1\nreason = \"  \"\n";
+        let text = "[[allow]]\nrule = \"time-arith\"\npath = \"x.rs\"\ncount = 1\nreason = \"  \"\n";
         let e = Allowlist::parse("lint_allow.toml", text).unwrap_err();
         assert!(e.message.contains("reason"), "{e}");
-        let text2 = "[[allow]]\nrule = \"panic-free\"\npath = \"x.rs\"\ncount = 1\n";
+        let text2 = "[[allow]]\nrule = \"time-arith\"\npath = \"x.rs\"\ncount = 1\n";
         assert!(Allowlist::parse("lint_allow.toml", text2).is_err());
     }
 
@@ -439,9 +439,9 @@ reason = "deliberate malformed fixtures"
 
     #[test]
     fn parses_ratchet_and_renders_canonically() {
-        let text = "[ratchet]\npanic-free = 240 # ceiling\ntime-arith = 12\n";
+        let text = "[ratchet]\ntime-arith = 240 # ceiling\nhygiene = 12\n";
         let r = Ratchet::parse("lint_ratchet.toml", text).unwrap();
-        assert_eq!(r.limits.get("panic-free"), Some(&240));
+        assert_eq!(r.limits.get("time-arith"), Some(&240));
         let rendered = r.render();
         let again = Ratchet::parse("lint_ratchet.toml", &rendered).unwrap();
         assert_eq!(again, r);

@@ -3,11 +3,13 @@
 //!
 //! Run as `cargo run -p fairsched-analyze -- check`. The tool scans every
 //! workspace `.rs` file plus the golden/bench JSON artifacts, entirely
-//! offline, and enforces seven rule families (see [`rules`]):
-//! panic-freedom in library code, `Time`-overflow widening, spec-literal
-//! validity against the live registries, golden/bench hygiene, and —
-//! built on the [workspace symbol graph](symbols) — replay determinism,
+//! offline, and enforces six rule families (see [`rules`]):
+//! `Time`-overflow widening in library code, spec-literal validity
+//! against the live registries, golden/bench hygiene, and — built on the
+//! [workspace symbol graph](symbols) — replay determinism,
 //! journaled-write durability, and schema-version registration.
+//! Panic-freedom is not among them: clippy's restriction lints enforce it
+//! (see `[workspace.lints.clippy]` in the root `Cargo.toml`).
 //!
 //! Three committed files govern the verdict:
 //!
@@ -25,7 +27,6 @@
 pub mod config;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;
 pub mod symbols;
 
 use std::collections::BTreeMap;
@@ -36,8 +37,8 @@ use std::path::{Path, PathBuf};
 use config::{Allowlist, Ratchet, SchemaRegistry};
 use lexer::LexedFile;
 use rules::{
-    determinism, durability, hygiene, panic_free, schema_version, spec_literals,
-    time_arith, ALL_RULES,
+    determinism, durability, hygiene, schema_version, spec_literals, time_arith,
+    ALL_RULES,
 };
 use symbols::SymbolGraph;
 
@@ -73,8 +74,8 @@ pub struct SourceFile {
     pub lexed: LexedFile,
 }
 
-/// The crate source trees held to the library-code rules (`panic-free`,
-/// `time-arith`). Tests, benches, the CLI facade, the compat stubs, and
+/// The crate source trees held to the library-code rules (`time-arith`,
+/// `durability`). Tests, benches, the CLI facade, the compat stubs, and
 /// this analyzer are exempt.
 pub const LIBRARY_PREFIXES: [&str; 6] = [
     "crates/core/src/",
@@ -186,7 +187,6 @@ pub fn run_check(opts: &Options) -> Result<Outcome, Box<dyn Error>> {
     let library: Vec<&SourceFile> =
         sources.iter().filter(|s| is_library(&s.rel)).collect();
     for src in &library {
-        panic_free::check(&src.rel, &src.lexed, &mut findings);
         durability::check(&src.rel, &src.lexed, &graph, &mut findings);
     }
     let lexed_refs: Vec<(&str, &LexedFile)> =
@@ -473,14 +473,14 @@ mod tests {
     fn allowlist_drops_earliest_findings_and_flags_unused() {
         let allow = Allowlist::parse(
             "lint_allow.toml",
-            "[[allow]]\nrule = \"panic-free\"\npath = \"a.rs\"\ncount = 2\nreason = \"x\"\n\
-             [[allow]]\nrule = \"panic-free\"\npath = \"b.rs\"\ncount = 1\nreason = \"y\"\n",
+            "[[allow]]\nrule = \"time-arith\"\npath = \"a.rs\"\ncount = 2\nreason = \"x\"\n\
+             [[allow]]\nrule = \"time-arith\"\npath = \"b.rs\"\ncount = 1\nreason = \"y\"\n",
         )
         .unwrap();
         let findings = vec![
-            Finding::new("panic-free", "a.rs", 1, "one".into()),
-            Finding::new("panic-free", "a.rs", 5, "two".into()),
-            Finding::new("panic-free", "a.rs", 9, "three".into()),
+            Finding::new("time-arith", "a.rs", 1, "one".into()),
+            Finding::new("time-arith", "a.rs", 5, "two".into()),
+            Finding::new("time-arith", "a.rs", 9, "three".into()),
         ];
         let mut warnings = Vec::new();
         let (kept, suppressed) = apply_allowlist(findings, &allow, &mut warnings);

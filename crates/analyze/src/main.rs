@@ -1,34 +1,25 @@
 //! CLI entry point: `fairsched-analyze check [--root DIR] [--report FILE]
-//! [--format json|sarif] [--update-ratchet]`.
+//! [--update-ratchet]`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fairsched_analyze::{run_check, sarif, Options};
+use fairsched_analyze::{run_check, Options};
 
 const USAGE: &str = "\
-usage: fairsched-analyze check [--root DIR] [--report FILE]
-                               [--format json|sarif] [--update-ratchet]
+usage: fairsched-analyze check [--root DIR] [--report FILE] [--update-ratchet]
 
-Offline static analysis of the fairsched workspace: panic-freedom,
-Time-overflow widening, spec-literal validity, golden/bench hygiene,
-replay determinism, journaled-write durability, and schema-version
-registration.
+Offline static analysis of the fairsched workspace: Time-overflow
+widening, spec-literal validity, golden/bench hygiene, replay
+determinism, journaled-write durability, and schema-version
+registration. (Panic-freedom is clippy's job: see the root Cargo.toml.)
 
   --root DIR        workspace root (default: current directory)
-  --report FILE     also write the machine-readable report here
-  --format FMT      report format: json (default) or sarif (2.1.0, for
-                    CI code-scanning upload)
+  --report FILE     also write the JSON report here
   --update-ratchet  rewrite lint_ratchet.toml to the current counts
 
 exit status: 0 clean, 1 lint failure (over a ratchet), 2 usage/config error
 ";
-
-/// Report output format.
-enum Format {
-    Json,
-    Sarif,
-}
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -38,7 +29,6 @@ fn main() -> ExitCode {
     }
     let mut opts = Options { root: PathBuf::from("."), update_ratchet: false };
     let mut report_path: Option<PathBuf> = None;
-    let mut format = Format::Json;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {
@@ -48,16 +38,6 @@ fn main() -> ExitCode {
             "--report" => match args.next() {
                 Some(v) => report_path = Some(PathBuf::from(v)),
                 None => return usage_error("--report needs a value"),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                Some(other) => {
-                    return usage_error(&format!(
-                        "unknown format {other:?} (expected json or sarif)"
-                    ))
-                }
-                None => return usage_error("--format needs a value"),
             },
             "--update-ratchet" => opts.update_ratchet = true,
             other => return usage_error(&format!("unknown argument {other:?}")),
@@ -92,11 +72,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = report_path {
-        let rendered = match format {
-            Format::Json => outcome.report().to_json_pretty(),
-            Format::Sarif => sarif::render(&outcome).to_json_pretty(),
-        };
-        if let Err(e) = std::fs::write(&path, rendered) {
+        if let Err(e) = std::fs::write(&path, outcome.report().to_json_pretty()) {
             eprintln!("fairsched-analyze: cannot write report {}: {e}", path.display());
             return ExitCode::from(2);
         }

@@ -1,4 +1,4 @@
-//! The seven lint rule families.
+//! The six lint rule families.
 //!
 //! Every rule produces [`crate::Finding`]s with a stable rule id — the id
 //! is what `lint_allow.toml`, `lint_ratchet.toml`, and inline
@@ -6,7 +6,6 @@
 //!
 //! | id               | family                                              |
 //! |------------------|-----------------------------------------------------|
-//! | `panic-free`     | panic sites in non-test library code                |
 //! | `time-arith`     | raw `*`/`+` on `Time`/`Frac`-typed values           |
 //! | `spec-literal`   | spec-string literals vs the live registries         |
 //! | `hygiene`        | golden / bench JSON schema and orphan goldens       |
@@ -22,13 +21,10 @@
 pub mod determinism;
 pub mod durability;
 pub mod hygiene;
-pub mod panic_free;
 pub mod schema_version;
 pub mod spec_literals;
 pub mod time_arith;
 
-/// Rule id for the panic-freedom family.
-pub const PANIC_FREE: &str = "panic-free";
 /// Rule id for the `Time` arithmetic widening family.
 pub const TIME_ARITH: &str = "time-arith";
 /// Rule id for the spec-literal validity family.
@@ -43,28 +39,5 @@ pub const DURABILITY: &str = "durability";
 pub const SCHEMA_VERSION: &str = "schema-version";
 
 /// All rule ids, in reporting order.
-pub const ALL_RULES: [&str; 7] = [
-    PANIC_FREE,
-    TIME_ARITH,
-    SPEC_LITERAL,
-    HYGIENE,
-    DETERMINISM,
-    DURABILITY,
-    SCHEMA_VERSION,
-];
-
-/// One-line description per rule id (SARIF `rules` metadata and docs).
-pub fn describe(rule: &str) -> &'static str {
-    match rule {
-        PANIC_FREE => "panic sites (unwrap/expect/panic!/indexing) in non-test library code",
-        TIME_ARITH => "raw `*`/`+` on Time/Frac-typed values without widening",
-        SPEC_LITERAL => "spec-string literals validated against the live registries",
-        HYGIENE => "golden/bench artifact schema validity and orphan detection",
-        DETERMINISM => {
-            "wall-clock reads, unseeded RNG, and hash-ordered iteration in replay-critical code"
-        }
-        DURABILITY => "raw filesystem writes bypassing the fairsched_core::journal discipline",
-        SCHEMA_VERSION => "fairsched-*/vN format literals registered in schema_registry.toml",
-        _ => "unknown rule",
-    }
-}
+pub const ALL_RULES: [&str; 6] =
+    [TIME_ARITH, SPEC_LITERAL, HYGIENE, DETERMINISM, DURABILITY, SCHEMA_VERSION];

@@ -1,10 +1,10 @@
-//! Allowlist fixture: two seeded panic sites, fully covered by the
-//! fixture's `lint_allow.toml`.
+//! Allowlist fixture: two seeded `time-arith` sites, fully covered by
+//! the fixture's `lint_allow.toml`.
 
-pub fn covered_one(x: Option<u64>) -> u64 {
-    x.unwrap()
+pub fn covered_one(horizon: Time, i: u64) -> Time {
+    horizon * i
 }
 
-pub fn covered_two(x: Option<u64>) -> u64 {
-    x.expect("covered")
+pub fn covered_two(start: Time, proc_time: Time) -> Time {
+    start + proc_time
 }

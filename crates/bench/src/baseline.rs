@@ -34,6 +34,12 @@
 //! CI's `bench-smoke` job runs the `--scale` matrix against the committed
 //! file and uploads the JSON as an artifact.
 
+#![expect(
+    clippy::expect_used,
+    reason = "the harness runs registry workloads and schedulers in fresh temp \
+              directories; a failure is a bug that should stop the measurement run loudly"
+)]
+
 use fairsched_core::journal::atomic_write;
 use fairsched_core::scheduler::lattice::LatticeStats;
 use fairsched_core::scheduler::{
@@ -60,46 +66,6 @@ pub const SCHEMA: &str = "fairsched-bench-lattice/v1";
 /// the same machine.
 pub const PRE_FASTPATH_REF_K8_WALL_NS: u64 = 117_794_892;
 
-/// The lattice work counters, mirrored into the report (serializable).
-#[derive(Clone, Debug, Serialize)]
-pub struct LatticeCounters {
-    /// `settle` calls (decision points).
-    pub settles: u64,
-    /// Distinct event times processed.
-    pub rounds: u64,
-    /// Job releases delivered to sims (fan-out).
-    pub releases: u64,
-    /// Hypothetical job starts across sims.
-    pub sim_starts: u64,
-    /// Hypothetical completions applied across sims.
-    pub sim_completions: u64,
-    /// φ reads served from the potential rows.
-    pub phi_cache_hits: u64,
-    /// φ reads evaluated from scratch (0 on REF's lattice).
-    pub phi_recomputes: u64,
-    /// Potential rows updated by delta pushes.
-    pub phi_deltas_applied: u64,
-    /// Always 0 (rows live as long as the lattice); kept for the
-    /// benchmark harness until a `[benchmark]` PR retires it.
-    pub phi_evictions: u64,
-}
-
-impl From<LatticeStats> for LatticeCounters {
-    fn from(s: LatticeStats) -> Self {
-        LatticeCounters {
-            settles: s.settles,
-            rounds: s.rounds,
-            releases: s.releases,
-            sim_starts: s.sim_starts,
-            sim_completions: s.sim_completions,
-            phi_cache_hits: s.phi_cache_hits,
-            phi_recomputes: s.phi_recomputes,
-            phi_deltas_applied: s.phi_deltas_applied,
-            phi_evictions: s.phi_evictions,
-        }
-    }
-}
-
 /// One measured scheduler × workload cell.
 #[derive(Clone, Debug, Serialize)]
 pub struct CaseResult {
@@ -124,7 +90,7 @@ pub struct CaseResult {
     /// `engine_events / (wall_ns_min / 1e9)`.
     pub events_per_sec: f64,
     /// The scheduler lattice's own work counters (REF/RAND only).
-    pub lattice: Option<LatticeCounters>,
+    pub lattice: Option<LatticeStats>,
 }
 
 /// One measured timeline (streaming-sweep) row: the fairness trajectory
@@ -217,7 +183,6 @@ pub const SCALE_SEED: u64 = 7;
 /// the scale the quadratic paths they replaced could not reach.
 pub fn scale_workload(seed: u64) -> Trace {
     let jobs = generate(&SCALE_CONFIG, seed);
-    // lint:allow(panic-free) generator output over a 1-machine-floor split is always valid
     to_trace(&jobs, SCALE_K, SCALE_CONFIG.n_machines, MachineSplit::Zipf(1.0), seed)
         .expect("scale workload builds")
 }
@@ -256,7 +221,6 @@ fn run_swf_ingest(samples: usize, expected: &Trace) -> CaseResult {
         .collect();
     let path = std::env::temp_dir()
         .join(format!("fairsched-bench-swf-ingest-{}.swf", std::process::id()));
-    // lint:allow(panic-free) a fresh file in the temp directory; a failure is a bug worth stopping the bench for
     atomic_write(&path, &swf::write(&records)).expect("SWF log writes");
     let path_text = path.to_string_lossy();
     let replay = || {
@@ -264,7 +228,6 @@ fn run_swf_ingest(samples: usize, expected: &Trace) -> CaseResult {
         let (n_machines, seed) = (SCALE_CONFIG.n_machines, SCALE_SEED);
         swf::stream_trace(&path_text, 0, u64::MAX, SCALE_K, n_machines, split, seed)
     };
-    // lint:allow(panic-free) the log was written a line above by the same codec
     let (trace, _) = replay().expect("scale log replays");
     assert_eq!(&trace, expected, "SWF replay diverged from the scale workload");
     let (min, mean) = timed(samples, || {
@@ -415,7 +378,6 @@ fn run_json_codec(samples: usize) -> Vec<CaseResult> {
         let text = json_document(size).to_json();
         let name = format!("json/parse/{label}");
         out.push(case(&name, text.len(), JSON_BYTES_PER_SAMPLE, &mut || {
-            // lint:allow(panic-free) the document was rendered by this codec a line above
             std::hint::black_box(serde_json::parse_value(&text).expect("own rendering"));
         }));
     }
@@ -471,24 +433,18 @@ fn run_serve_drain(samples: usize) -> CaseResult {
     let mut last = None;
     for _ in 0..samples.max(1) {
         let _ = std::fs::remove_dir_all(&dir);
-        // lint:allow(panic-free) a registry workload and scheduler in a fresh temp directory; a failure is a bug worth stopping the bench for
         config.init(&dir).expect("serve directory initializes");
-        // lint:allow(panic-free) same contract as init above
         let mut daemon = Daemon::open(&dir).expect("daemon opens");
-        // lint:allow(panic-free) same contract as init above
         let queue = SubmissionQueue::open(&dir).expect("queue opens");
         let started = Instant::now();
         for message in &messages {
-            // lint:allow(panic-free) same contract as init above
             queue.submit(message).expect("submit");
-            // lint:allow(panic-free) same engine contract as the batch rows
             assert_eq!(daemon.drain().expect("drain"), 1);
         }
         walls.push(started.elapsed().as_nanos() as u64);
         last = Some(daemon);
     }
     let _ = std::fs::remove_dir_all(&dir);
-    // lint:allow(panic-free) the loop above runs at least once
     let (daemon, min) = last.zip(walls.iter().copied().min()).expect("one sample ran");
     let mean = walls.iter().sum::<u64>() / walls.len() as u64;
     assert_eq!(daemon.applied_seq(), DRAIN_MESSAGES);
@@ -539,7 +495,6 @@ fn run_experiment_grid(samples: usize) -> Vec<CaseResult> {
     let run = |resume: bool| {
         let options = RunnerOptions { resume, ..RunnerOptions::default() };
         let started = Instant::now();
-        // lint:allow(panic-free) registry specs in a fresh temp directory; a failure is a bug worth stopping the bench for
         let summary = Runner::new(spec.clone(), &dir, options).run().expect("grid runs");
         let wall = started.elapsed().as_nanos() as u64;
         let expected = if resume { (0, cells, 0) } else { (cells, 0, 0) };
@@ -595,7 +550,7 @@ fn run_serve_overhead(samples: usize) -> Vec<CaseResult> {
         horizon,
         samples,
         RefScheduler::new,
-        |s: &RefScheduler| Some(s.lattice().stats().into()),
+        |s: &RefScheduler| Some(s.lattice().stats()),
     );
 
     // The stepper's advance marks: an even u128 grid over the horizon
@@ -604,13 +559,10 @@ fn run_serve_overhead(samples: usize) -> Vec<CaseResult> {
         .map(|i| ((horizon as u128 * i as u128) / STEP_CHUNKS as u128) as u64)
         .collect();
     let run = || -> SimResult {
-        // lint:allow(panic-free) registry scheduler on a registry workload; same contract as measure()
         let mut session = SimSession::new(trace.clone(), "ref", 5).expect("session");
         for mark in &marks {
-            // lint:allow(panic-free) same engine contract as the batch row
             session.step(*mark).expect("engine contract");
         }
-        // lint:allow(panic-free) same engine contract as the batch row
         session.finish(horizon, true).expect("engine contract")
     };
     let warm: SimResult = run();
@@ -636,7 +588,7 @@ fn run_serve_overhead(samples: usize) -> Vec<CaseResult> {
 
 /// Times `build() → run_scheduler(horizon)` over `samples` runs (plus one
 /// untimed warmup) and gathers the counters from a final untimed run.
-fn measure<S: Scheduler, B: Fn(&Trace) -> S, L: Fn(&S) -> Option<LatticeCounters>>(
+fn measure<S: Scheduler, B: Fn(&Trace) -> S, L: Fn(&S) -> Option<LatticeStats>>(
     name: &str,
     trace: &Trace,
     k: usize,
@@ -646,8 +598,7 @@ fn measure<S: Scheduler, B: Fn(&Trace) -> S, L: Fn(&S) -> Option<LatticeCounters
     lattice_of: L,
 ) -> CaseResult {
     // Built-in schedulers on registry workloads cannot violate the engine
-    // contract; a panic here means a bug worth stopping the bench for
-    // (allowlisted for the panic-free-library rule).
+    // contract; a panic here means a bug worth stopping the bench for.
     let options = SimOptions { horizon, validate: false };
     let run = |s: &mut S| run_scheduler(trace, s, options).expect("engine contract");
     // Warmup — runs are deterministic, so this run also yields the
@@ -691,7 +642,7 @@ pub fn run_baseline(scale: bool, samples: usize) -> BaselineReport {
             2_000,
             samples,
             RefScheduler::new,
-            |s: &RefScheduler| Some(s.lattice().stats().into()),
+            |s: &RefScheduler| Some(s.lattice().stats()),
         ));
     }
     let trace8 = bench_workload(8, 5);
@@ -702,7 +653,7 @@ pub fn run_baseline(scale: bool, samples: usize) -> BaselineReport {
         2_000,
         samples,
         |t| RandScheduler::new(t, 15, 9),
-        |s: &RandScheduler| Some(s.lattice().stats().into()),
+        |s: &RandScheduler| Some(s.lattice().stats()),
     ));
     cases.push(measure(
         "rand75/k=8",
@@ -711,7 +662,7 @@ pub fn run_baseline(scale: bool, samples: usize) -> BaselineReport {
         2_000,
         samples,
         |t| RandScheduler::new(t, 75, 9),
-        |s: &RandScheduler| Some(s.lattice().stats().into()),
+        |s: &RandScheduler| Some(s.lattice().stats()),
     ));
 
     cases.extend(run_serve_overhead(samples));
@@ -732,7 +683,7 @@ pub fn run_baseline(scale: bool, samples: usize) -> BaselineReport {
                 horizon,
                 samples.min(3),
                 RefScheduler::new,
-                |s: &RefScheduler| Some(s.lattice().stats().into()),
+                |s: &RefScheduler| Some(s.lattice().stats()),
             ));
         }
         cases.extend(run_scale(samples));
@@ -878,7 +829,6 @@ fn measure_timeline(trace: &Trace, runs: usize) -> Vec<TimelineCase> {
             let timeline = || {
                 let registry = MetricRegistry::shared();
                 Report::evaluate(registry, &specs, trace, &eval, Some(&reference))
-                    // lint:allow(panic-free) a registered metric at a valid sample count with its reference; a failure is a bug worth stopping the bench for
                     .expect("timeline metric evaluates")
                     .series
                     .swap_remove(0)

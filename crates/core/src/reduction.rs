@@ -71,6 +71,10 @@ pub fn build_instance(s: &[u64], x: u64) -> ReductionInstance {
     // b: J1 = (r=2, p=2x+2), J2 = (r=2x+3, p=L).
     b.job(bb, 2, 2 * x + 2);
     b.job(bb, 2 * x + 3, large);
+    #[expect(
+        clippy::expect_used,
+        reason = "positive-size jobs on declared organizations; the x range asserts above"
+    )]
     let trace = b.build().expect("reduction instance is valid");
     // Slowest completion: the large job started no later than 2x+4 in the
     // singleton coalition {b} (after its first job), plus L; J3 jobs end by

@@ -40,9 +40,17 @@ impl Scheduler for FifoScheduler {
     }
 
     fn on_start(&mut self, _t: Time, job: &JobMeta, _machine: crate::model::MachineId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the engine starts only released jobs, and each release pushed an entry"
+        )]
         self.queues[job.org.index()].pop_front().expect("start without matching release");
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`select` is called only with a waiting job, and each waiting job has a queue entry"
+    )]
     fn select(&mut self, ctx: &SelectContext<'_>) -> OrgId {
         ctx.waiting_orgs()
             .min_by_key(|u| {

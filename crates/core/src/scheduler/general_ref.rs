@@ -92,6 +92,10 @@ impl GenSim {
     }
 
     fn start_head(&mut self, org: OrgId, t: Time) {
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pass an org that `eligible` accepted, which has a head job"
+        )]
         let (job, _, proc) = self.waiting[org.index()].pop_front().expect("no head");
         self.busy += 1;
         let idx = self.started.len();
@@ -123,6 +127,10 @@ impl GenSim {
     /// started at `t` with one observed unit.
     fn schedule_with_tentative(&self, org: OrgId, t: Time) -> Schedule {
         let mut entries: Vec<ScheduledJob> = self.schedule_at(t).entries().to_vec();
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pass an org that `eligible` accepted, which has a head job"
+        )]
         let &(job, _, _) = self.waiting[org.index()].front().expect("no head");
         entries.push(ScheduledJob {
             job,
@@ -234,6 +242,10 @@ impl GeneralRefScheduler {
             while self.sims[i].can_schedule(t) {
                 let org = self.pick_for(self.sims[i].coalition, t, None);
                 self.sims[i].start_head(org, t);
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "`start_head` pushed a started entry on the line above"
+                )]
                 let &(_, _, _, completion) = self.sims[i].started.last().unwrap();
                 self.events.push(Reverse((completion, i)));
             }
@@ -313,7 +325,12 @@ impl GeneralRefScheduler {
                 best = Some(key);
             }
         }
-        OrgId(best.expect("pick_for with nothing eligible").2)
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pick only where `can_schedule` found an eligible member"
+        )]
+        let (_, _, org) = best.expect("pick_for with nothing eligible");
+        OrgId(org)
     }
 }
 
@@ -356,6 +373,10 @@ impl Scheduler for GeneralRefScheduler {
     fn on_start(&mut self, t: Time, job: &JobMeta, _machine: MachineId) {
         // The engine starts the FIFO head; mirror it. Completion time is a
         // placeholder until revealed (treated as running).
+        #[expect(
+            clippy::expect_used,
+            reason = "the engine starts only released jobs, and each release pushed an entry"
+        )]
         let (jid, _, _) = self.real.waiting[job.org.index()]
             .pop_front()
             .expect("start without release");

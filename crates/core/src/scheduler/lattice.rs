@@ -263,6 +263,10 @@ impl CoalitionSim {
 
     /// Starts the FIFO-head job of `org` at `t`; returns the completion time.
     fn start(&mut self, t: Time, org: OrgId) -> Time {
+        #[expect(
+            clippy::expect_used,
+            reason = "callers start an org that the pick found with a head job"
+        )]
         let job = self.waiting[org.index()].pop_front().expect("no waiting job");
         if self.waiting[org.index()].is_empty() {
             self.queued_mask &= !(1u64 << org.index());
@@ -289,6 +293,10 @@ impl CoalitionSim {
 
     /// The release-order pick: the member with the earliest-released
     /// eligible head job (ties by arrival order).
+    #[expect(
+        clippy::expect_used,
+        reason = "called only where `can_schedule` found an eligible member"
+    )]
     fn fifo_pick(&self, t: Time) -> OrgId {
         let mut bits = self.queued_mask;
         let mut best: Option<(Time, u64, OrgId)> = None;
@@ -408,6 +416,7 @@ fn eval_row([a, b, d]: [i128; 3], tt: i128) -> i128 {
 /// the `BENCH_lattice.json` baseline (see `fairsched-bench`'s
 /// `bench_baseline`).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct LatticeStats {
     /// `settle` calls (one per value read / decision point).
     pub settles: u64,
@@ -789,6 +798,10 @@ impl CoalitionLattice {
                             })
                             .collect();
                         while self.sims[i].can_schedule(t) {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "`can_schedule` holds, so some candidate is eligible"
+                            )]
                             let best = cand
                                 .iter()
                                 .enumerate()
@@ -833,6 +846,10 @@ impl CoalitionLattice {
     ///
     /// # Panics
     /// Panics if `c` is untracked.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: every caller passes a coalition of this lattice"
+    )]
     fn rank(&self, c: Coalition) -> usize {
         self.index.get(c.bits()).expect("coalition not tracked by this lattice")
     }

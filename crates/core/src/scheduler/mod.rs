@@ -175,6 +175,10 @@ impl OrgPicker {
         ctx: &SelectContext<'_>,
         mut key: impl FnMut(OrgId) -> Util,
     ) -> OrgId {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: `select` is called only with a waiting job"
+        )]
         let best = ctx
             .waiting_orgs()
             .map(|u| {
@@ -201,6 +205,10 @@ impl OrgPicker {
         ctx: &SelectContext<'_>,
         mut key: impl FnMut(OrgId) -> K,
     ) -> OrgId {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: `select` is called only with a waiting job"
+        )]
         let best = ctx
             .waiting_orgs()
             .map(|u| (u, key(u)))

@@ -19,7 +19,7 @@ use super::{OrgPicker, Scheduler, SelectContext, StepBumps};
 use crate::model::{ClusterInfo, JobMeta, MachineId, OrgId, Time, Trace};
 use crate::utility::{SpTracker, Util};
 use coopgame::sampling::SampledPrefixes;
-use coopgame::Player;
+use coopgame::{Coalition, Player};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,7 +33,11 @@ pub const MAX_PERMUTATIONS: usize = 1 << 20;
 pub struct RandScheduler {
     durations: Vec<Time>,
     lattice: CoalitionLattice,
-    prefixes: SampledPrefixes,
+    n_permutations: usize,
+    /// Per organization `u`, each distinct sampled predecessor set with
+    /// the number of permutations that drew it: at small `k` many
+    /// permutations share a prefix, and each is looked up once.
+    prefixes: Vec<Vec<(Coalition, Util)>>,
     trackers: Vec<SpTracker>,
     bumps: StepBumps,
     picker: OrgPicker,
@@ -52,10 +56,16 @@ impl RandScheduler {
         let coalitions = prefixes.required_coalitions();
         let lattice =
             CoalitionLattice::with_coalitions(&machines, &coalitions, Policy::Fifo);
+        let distinct = |u: usize| {
+            let mut preds = prefixes.prefixes_of(Player(u)).to_vec();
+            preds.sort_unstable();
+            preds.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as Util)).collect()
+        };
         RandScheduler {
             durations: trace.jobs().iter().map(|j| j.proc_time).collect(),
             lattice,
-            prefixes,
+            n_permutations,
+            prefixes: (0..k).map(distinct).collect(),
             trackers: vec![SpTracker::new(); k],
             bumps: StepBumps::new(k),
             picker: OrgPicker::new(k),
@@ -65,7 +75,7 @@ impl RandScheduler {
 
     /// Number of sampled permutations.
     pub fn n_permutations(&self) -> usize {
-        self.prefixes.n_permutations()
+        self.n_permutations
     }
 
     /// Number of distinct sampled coalitions being simulated.
@@ -83,7 +93,7 @@ impl RandScheduler {
     /// schedules as a side effect).
     pub fn contributions(&mut self, t: Time) -> Vec<f64> {
         self.lattice.settle(t);
-        let n = self.prefixes.n_permutations() as f64;
+        let n = self.n_permutations as f64;
         (0..self.trackers.len())
             .map(|u| self.marginal_sum(OrgId(u as u32), t) as f64 / n)
             .collect()
@@ -94,15 +104,15 @@ impl RandScheduler {
         self.trackers.iter().map(|tr| tr.value_at(t)).collect()
     }
 
-    /// `Σ_samples v(pred∪u) − v(pred)` — `N · φ̂(u)`, exact integer.
+    /// `Σ_samples v(pred∪u) − v(pred)` — `N · φ̂(u)`, exact integer,
+    /// summed as `m · (v(pred∪u) − v(pred))` over distinct prefixes.
     fn marginal_sum(&self, u: OrgId, t: Time) -> Util {
         let player = Player(u.index());
-        self.prefixes
-            .prefixes_of(player)
+        self.prefixes[u.index()]
             .iter()
-            .map(|&pred| {
-                self.lattice.value_of(pred.insert(player), t)
-                    - self.lattice.value_of(pred, t)
+            .map(|&(pred, m)| {
+                m * (self.lattice.value_of(pred.insert(player), t)
+                    - self.lattice.value_of(pred, t))
             })
             .sum()
     }
@@ -145,7 +155,7 @@ impl Scheduler for RandScheduler {
     fn select(&mut self, ctx: &SelectContext<'_>) -> OrgId {
         let t = ctx.t;
         self.lattice.settle(t);
-        let n = self.prefixes.n_permutations() as Util;
+        let n = self.n_permutations as Util;
         // key(u) = N·φ̂(u) − N·(ψ(u)+bump) — both sides scaled by N so the
         // comparison stays in exact integers.
         let marginals: Vec<Util> = (0..self.trackers.len())

@@ -60,8 +60,11 @@ impl RefScheduler {
     ///
     /// # Panics
     /// Panics where [`try_new`](Self::try_new) returns an error.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic; callers with outside input (the registry) use try_new"
+    )]
     pub fn new(trace: &Trace) -> Self {
-        // lint:allow(panic-free) the documented panic of the convenience constructor; anything that takes its trace from outside input (the registry) calls try_new
         Self::try_new(trace).unwrap_or_else(|e| panic!("{e}"))
     }
 

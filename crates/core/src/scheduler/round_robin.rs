@@ -30,6 +30,7 @@ impl Scheduler for RoundRobinScheduler {
         self.next = 0;
     }
 
+    #[expect(clippy::panic, reason = "`select` is called only with a waiting job")]
     fn select(&mut self, ctx: &SelectContext<'_>) -> OrgId {
         debug_assert_eq!(ctx.waiting.len(), self.n_orgs);
         for off in 0..self.n_orgs {

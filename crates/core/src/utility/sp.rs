@@ -103,6 +103,10 @@ impl SpTracker {
     /// `t <= start`.
     pub fn on_complete(&mut self, start: Time, t: Time) {
         assert!(t > start, "completion must follow start");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: every completion follows a tracked start"
+        )]
         let pos = self
             .running
             .iter()

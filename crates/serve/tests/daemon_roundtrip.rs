@@ -4,6 +4,9 @@
 //! engine's schedule bit-for-bit. The kill-point sweep across snapshot
 //! cadences lives in the root package's `tests/serve_durability.rs`.
 
+// clippy.toml exempts `#[test]` fns; the helpers below are test code too.
+#![allow(clippy::unwrap_used, reason = "test helpers, like the tests they serve, unwrap")]
+
 use fairsched_core::model::OrgId;
 use fairsched_serve::{Daemon, HttpServer, Message, ServeConfig, SubmissionQueue};
 use fairsched_sim::Simulation;

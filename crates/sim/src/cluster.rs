@@ -59,6 +59,10 @@ impl Cluster {
     /// # Panics
     /// Panics if the machine was not busy.
     pub fn complete(&mut self, machine: MachineId) -> (JobId, Time) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the engine completes only busy machines"
+        )]
         let slot =
             self.running[machine.index()].take().expect("completing an idle machine");
         // Keep the free list sorted.

@@ -221,6 +221,10 @@ impl EngineState {
                         t,
                     });
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the waiting count checked above is positive and mirrors the queue"
+                )]
                 let job_id =
                     self.waiting[org.index()].pop_front().expect("count/queue mismatch");
                 self.waiting_counts[org.index()] -= 1;

@@ -134,6 +134,10 @@ pub fn greedy_envelope(trace: &Trace, horizon: Time) -> GreedyEnvelope {
 /// (100% utilization); starting all the short jobs first leaves `m_half`
 /// machines idle during `[p, 2p)` after the longs take the other half —
 /// exactly 75%, the tight bound of Theorem 6.2.
+#[expect(
+    clippy::expect_used,
+    reason = "two declared organizations with positive-size jobs always build"
+)]
 pub fn figure7_family(m_half: usize, p: Time) -> (Trace, Time) {
     let mut b = Trace::builder();
     let o1 = b.org("short-org", m_half);

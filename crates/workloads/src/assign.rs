@@ -66,6 +66,10 @@ fn largest_remainder(total: usize, weights: &[f64], k: usize) -> Vec<usize> {
     let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
     let assigned: usize = counts.iter().sum();
     let mut order: Vec<usize> = (0..k).collect();
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the splits in this module produce finite weights, whose remainders compare"
+    )]
     order.sort_by(|&a, &b| {
         let ra = quotas[a] - quotas[a].floor();
         let rb = quotas[b] - quotas[b].floor();
@@ -128,6 +132,10 @@ pub fn to_trace(
     let orgs: Vec<_> =
         machines.iter().enumerate().map(|(i, &m)| b.org(format!("org{i}"), m)).collect();
     for j in jobs {
+        #[expect(
+            clippy::expect_used,
+            reason = "the assignment was built from these jobs' users"
+        )]
         let org = assignment.org_of(j.user).expect("user collected above");
         b.job(orgs[org], j.release, j.proc_time);
     }

@@ -322,6 +322,10 @@ pub fn sample_trace_path() -> &'static str {
 /// Serializes a [`Trace`] to the JSON format the `trace:` workload family
 /// replays — the export half of making externally generated scenarios
 /// spec-addressable (`trace:path=...`).
+#[expect(
+    clippy::expect_used,
+    reason = "a trace holds only integers and strings, which always serialize"
+)]
 pub fn trace_to_json(trace: &Trace) -> String {
     serde_json::to_string_pretty(trace).expect("traces serialize")
 }
@@ -380,6 +384,7 @@ pub fn swf_replay(
     })
 }
 
+#[expect(clippy::unwrap_used, reason = "fixed canonical spec literals that parse")]
 fn synth_conformance() -> Vec<WorkloadSpec> {
     vec![
         "synth:horizon=1500,orgs=3,preset=lpc,scale=0.08".parse().unwrap(),
@@ -409,6 +414,7 @@ fn swf_conformance() -> Vec<WorkloadSpec> {
     ]
 }
 
+#[expect(clippy::unwrap_used, reason = "fixed canonical spec literals that parse")]
 fn fpt_conformance() -> Vec<WorkloadSpec> {
     vec![
         "fpt:k=3".parse().unwrap(),

@@ -87,11 +87,19 @@ pub fn generate(config: &SynthConfig, seed: u64) -> Vec<UserJob> {
     let weight_sum: f64 =
         (1..=config.n_users).map(|r| 1.0 / (r as f64).powf(config.user_zipf)).sum();
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "presets and the fpt spec give a median >= 1 and a finite sigma; other configs are the caller's contract"
+    )]
     let duration_dist = if config.duration_sigma > 0.0 {
         Some(LogNormal::new(config.duration_median.ln(), config.duration_sigma).unwrap())
     } else {
         None
     };
+    #[expect(
+        clippy::unwrap_used,
+        reason = "presets carry a finite gap, and the clamp keeps the rate finite"
+    )]
     let gap_dist = Exp::new(1.0 / config.intra_session_gap.max(1e-9)).unwrap();
 
     let mut jobs = Vec::new();

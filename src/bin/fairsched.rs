@@ -222,29 +222,50 @@ inject deterministic faults (see docs/EXPERIMENTS.md).",
     }
 }
 
-/// Splits `args` into `--key value` options and bare `--flag` flags,
-/// bailing to `usage` on a positional.
+/// Splits `args` into the `--key value` options named in `values` and the
+/// bare `--flag`s named in `flags`. A key in both (`serve --http [ADDR]`)
+/// takes a value when one follows. Bails to `usage` on a positional, an
+/// unknown key, a value option without its value, or a flag followed by
+/// a value, so a misspelled option never falls back to a default.
 fn parse_flags(
     args: &[String],
+    values: &[&str],
+    flags: &[&str],
     usage: fn() -> !,
 ) -> (HashMap<String, String>, Vec<String>) {
     let mut opts: HashMap<String, String> = HashMap::new();
-    let mut flags: Vec<String> = Vec::new();
+    let mut set: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let Some(key) = args[i].strip_prefix("--") else {
             eprintln!("unexpected argument {:?}", args[i]);
             usage();
         };
-        if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-            opts.insert(key.to_string(), args[i + 1].clone());
-            i += 2;
-        } else {
-            flags.push(key.to_string());
-            i += 1;
+        let (is_value, is_flag) = (values.contains(&key), flags.contains(&key));
+        match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+            Some(value) if is_value => {
+                opts.insert(key.to_string(), value.clone());
+                i += 2;
+            }
+            None if is_flag => {
+                set.push(key.to_string());
+                i += 1;
+            }
+            Some(value) if is_flag => {
+                eprintln!("--{key} takes no value, got {value:?}");
+                usage();
+            }
+            None if is_value => {
+                eprintln!("--{key} needs a value");
+                usage();
+            }
+            _ => {
+                eprintln!("unknown option --{key}");
+                usage();
+            }
         }
     }
-    (opts, flags)
+    (opts, set)
 }
 
 /// `fairsched serve` — the online scheduling daemon (see docs/SERVE.md).
@@ -283,7 +304,12 @@ the journal replays to the identical state."
     if args.iter().any(|a| a == "--help" || a == "-h") {
         serve_usage();
     }
-    let (opts, flags) = parse_flags(args, serve_usage);
+    let (opts, flags) = parse_flags(
+        args,
+        &["dir", "workload", "scheduler", "seed", "http", "poll-ms"],
+        &["http", "batch-check"],
+        serve_usage,
+    );
     let get = |k: &str, d: &str| opts.get(k).cloned().unwrap_or_else(|| d.to_string());
     let has = |k: &str| flags.iter().any(|f| f == k);
     let Some(dir) = opts.get("dir").map(std::path::PathBuf::from) else {
@@ -399,7 +425,12 @@ rename; a running `fairsched serve` daemon picks it up on its next poll."
     if args.iter().any(|a| a == "--help" || a == "-h") {
         submit_usage();
     }
-    let (opts, flags) = parse_flags(args, submit_usage);
+    let (opts, flags) = parse_flags(
+        args,
+        &["dir", "org", "release", "proc", "deadline", "advance"],
+        &["stop"],
+        submit_usage,
+    );
     let has = |k: &str| flags.iter().any(|f| f == k);
     let num = |k: &str| -> Option<u64> {
         opts.get(k).map(|v| v.parse().unwrap_or_else(|_| submit_usage()))
@@ -449,7 +480,24 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    let (opts, flags) = parse_flags(&args, usage);
+    let (opts, flags) = parse_flags(
+        &args,
+        &[
+            "workload",
+            "preset",
+            "scale",
+            "swf",
+            "machines",
+            "window-start",
+            "scheduler",
+            "orgs",
+            "horizon",
+            "seed",
+            "metrics",
+        ],
+        &["uniform-split", "json", "gantt", "no-reference"],
+        usage,
+    );
     let get = |k: &str, d: &str| opts.get(k).cloned().unwrap_or_else(|| d.to_string());
     let has = |k: &str| flags.iter().any(|f| f == k);
 

@@ -137,6 +137,82 @@ fn cli_rand_runs_at_35_orgs_and_refuses_65() {
     }
 }
 
+/// A misspelled option, a value option without its value, and a flag
+/// followed by a value exit 2 with the usage text instead of running
+/// with a default in place of what was asked for.
+#[test]
+fn cli_rejects_unknown_and_malformed_options() {
+    for args in [
+        &[
+            "--workload",
+            "fpt:k=3",
+            "--horizn",
+            "500",
+            "--no-reference",
+            "--metrics",
+            "psi",
+        ][..],
+        &["--workload", "fpt:k=3", "--no-reference", "--jsn"],
+        &["--workload", "fpt:k=3", "--no-reference", "--json", "yes"],
+        &["--workload", "fpt:k=3", "--no-reference", "--horizon"],
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_fairsched"))
+            .args(args)
+            .output()
+            .expect("fairsched binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: fairsched"), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} ran");
+    }
+}
+
+/// `submit` and `serve` refuse a misspelled option before touching the
+/// serve directory: a bogus `submit` key drops no message, and a
+/// misspelled `serve --workload` does not fix the directory's identity
+/// to the default workload. `serve` is spawned with a deadline, since a
+/// daemon that accepts the command line would wait for a stop message.
+#[test]
+fn serve_and_submit_reject_unknown_options() {
+    let dir =
+        std::env::temp_dir().join(format!("fairsched-cli-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_fairsched"))
+        .args(["submit", "--dir", dir_arg, "--stop", "--bogus", "1"])
+        .output()
+        .expect("fairsched binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage: fairsched submit"), "{stderr}");
+    assert!(!dir.exists(), "submit wrote into {}", dir.display());
+
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_fairsched"))
+        .args(["serve", "--dir", dir_arg, "--wrkload", "fpt:k=2", "--poll-ms", "20"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("fairsched binary spawns");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait on serve") {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let initialized = dir.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    let status = status.expect("serve accepted a misspelled option and kept running");
+    assert_eq!(status.code(), Some(2));
+    assert!(!initialized, "serve initialized the directory");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
