@@ -895,22 +895,7 @@ mod tests {
             assert!(lattice.sim_starts > 0);
         }
         assert!(report.summary.speedup_vs_reference > 0.0);
-        // The parser is linear in document size: a 16× larger document
-        // costs the same per byte (a quadratic one would show 16× here).
-        // One sample is at the mercy of a noisy neighbour, so the ratio
-        // takes each row's minimum over several.
         assert!(report.cases.iter().any(|c| c.name == "json/parse/1m"));
-        let codec_rows = run_json_codec(3);
-        let ns_per_byte = |name: &str| {
-            let c = codec_rows.iter().find(|c| c.name == name).expect(name);
-            c.wall_ns_min as f64 / c.engine_events as f64
-        };
-        let (small, large) =
-            (ns_per_byte("json/parse/64k"), ns_per_byte("json/parse/1m"));
-        assert!(
-            large / small < 1.5 && small / large < 1.5,
-            "json/parse ns per byte: 64k {small:.2}, 1m {large:.2}"
-        );
         // The trajectory rows: one per sample count, each with both
         // evaluators measured and the dedup'd point count.
         assert_eq!(report.timeline.len(), 3);
@@ -926,6 +911,33 @@ mod tests {
         assert!(json.contains("events_per_sec"));
         assert!(json.contains("timeline/k=8/s=1024"));
         assert!(json.contains("speedup_vs_oracle"));
+    }
+
+    /// The parser is linear in document size: a 16× larger document
+    /// costs the same per byte (a quadratic one would show 16× here). One
+    /// sample is at the mercy of a noisy neighbour, so the ratio takes
+    /// each row's minimum over several, the two sizes interleaved so that
+    /// a slow spell hits both. A wall-clock ratio says something about the
+    /// code only in an optimized build: CI runs it in release with
+    /// `--ignored`.
+    #[test]
+    #[ignore = "wall-clock ratio; run in release: cargo test --release -p fairsched-bench -- --ignored"]
+    fn json_parse_costs_the_same_per_byte_at_64k_and_1m() {
+        let codec_rows: Vec<CaseResult> =
+            (0..5).flat_map(|_| run_json_codec(1)).collect();
+        let ns_per_byte = |name: &str| {
+            codec_rows
+                .iter()
+                .filter(|c| c.name == name)
+                .map(|c| c.wall_ns_min as f64 / c.engine_events as f64)
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (small, large) =
+            (ns_per_byte("json/parse/64k"), ns_per_byte("json/parse/1m"));
+        assert!(
+            large / small < 1.5 && small / large < 1.5,
+            "json/parse ns per byte: 64k {small:.2}, 1m {large:.2}"
+        );
     }
 
     /// A fresh report against a synthetic committed tree: shared cases are

@@ -2,10 +2,78 @@
 //! that balance a per-organization usage quantity against a static target
 //! share — here, as in the paper's experiments, the fraction of machines
 //! the organization contributes.
+//!
+//! All three start the waiting organization with the least `usage /
+//! share`, through [`OrgPicker::pick_min_key`]: each key is evaluated once
+//! per event time, and `on_start` patches the one key a start moves.
 
 use super::{Frac, OrgPicker, Scheduler, SelectContext, StepBumps};
 use crate::model::{ClusterInfo, JobMeta, MachineId, OrgId, Time};
 use crate::utility::{SpTracker, Util};
+
+/// Per-organization usage for FAIRSHARE and UTFAIRSHARE: a `ψ_sp`
+/// tracker, the step bump and the machine share. The two schedulers
+/// differ only in the usage quantity read from the tracker.
+#[derive(Clone, Debug)]
+struct Usage {
+    /// The balanced quantity at `t`: CPU time or `ψ_sp`.
+    of: fn(&SpTracker, Time) -> Util,
+    trackers: Vec<SpTracker>,
+    bumps: StepBumps,
+    machines: Vec<usize>,
+}
+
+impl Usage {
+    /// `u`'s selection key at `t`: usage over share.
+    fn key(&self, t: Time, u: OrgId) -> Frac {
+        let used = (self.of)(&self.trackers[u.index()], t) + self.bumps.get(t, u);
+        Frac::new(used, self.machines[u.index()] as Util)
+    }
+}
+
+/// FAIRSHARE's and UTFAIRSHARE's scheduler state: the usage and the
+/// picker over its keys.
+#[derive(Clone, Debug)]
+struct UsageShare {
+    usage: Usage,
+    picker: OrgPicker<Frac>,
+}
+
+impl UsageShare {
+    fn new(of: fn(&SpTracker, Time) -> Util) -> Self {
+        let usage = Usage {
+            of,
+            trackers: Vec::new(),
+            bumps: StepBumps::default(),
+            machines: Vec::new(),
+        };
+        UsageShare { usage, picker: OrgPicker::default() }
+    }
+
+    fn init(&mut self, info: &ClusterInfo) {
+        let n = info.n_orgs();
+        self.usage.trackers = vec![SpTracker::new(); n];
+        self.usage.bumps = StepBumps::new(n);
+        self.usage.machines = info.org_machines().to_vec();
+        self.picker = OrgPicker::new(n);
+    }
+
+    fn on_start(&mut self, t: Time, org: OrgId) {
+        self.usage.trackers[org.index()].on_start(t);
+        self.usage.bumps.add(t, org, 1);
+        self.picker.patch(t, org, self.usage.key(t, org));
+    }
+
+    fn on_complete(&mut self, t: Time, org: OrgId, start: Time) {
+        self.usage.trackers[org.index()].on_complete(start, t);
+        self.picker.invalidate();
+    }
+
+    fn select(&mut self, ctx: &SelectContext<'_>) -> OrgId {
+        let usage = &self.usage;
+        self.picker.pick_min_key(ctx, |u| usage.key(ctx.t, u))
+    }
+}
 
 /// FAIRSHARE (Kay & Lauder): whenever a processor frees, start a job of the
 /// organization with the smallest ratio of *CPU time already allocated to
@@ -14,18 +82,19 @@ use crate::utility::{SpTracker, Util};
 /// The usage counter is non-clairvoyant: completed work plus the elapsed
 /// time of running jobs, plus one unit for a job started in the current
 /// time moment (the step bump; see [`StepBumps`]).
-#[derive(Clone, Debug, Default)]
-pub struct FairShareScheduler {
-    trackers: Vec<SpTracker>,
-    bumps: StepBumps,
-    picker: OrgPicker,
-    machines: Vec<usize>,
-}
+#[derive(Clone, Debug)]
+pub struct FairShareScheduler(UsageShare);
 
 impl FairShareScheduler {
     /// A fresh FAIRSHARE scheduler.
     pub fn new() -> Self {
-        Self::default()
+        FairShareScheduler(UsageShare::new(SpTracker::cpu_time_at))
+    }
+}
+
+impl Default for FairShareScheduler {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -35,31 +104,23 @@ impl Scheduler for FairShareScheduler {
     }
 
     fn init(&mut self, info: &ClusterInfo) {
-        let n = info.n_orgs();
-        self.trackers = vec![SpTracker::new(); n];
-        self.bumps = StepBumps::new(n);
-        self.picker = OrgPicker::new(n);
-        self.machines = info.org_machines().to_vec();
+        self.0.init(info);
+    }
+
+    fn on_release(&mut self, _t: Time, _job: &JobMeta) {
+        self.0.picker.invalidate();
     }
 
     fn on_start(&mut self, t: Time, job: &JobMeta, _machine: MachineId) {
-        self.trackers[job.org.index()].on_start(t);
-        self.bumps.add(t, job.org, 1);
+        self.0.on_start(t, job.org);
     }
 
     fn on_complete(&mut self, t: Time, job: &JobMeta, _machine: MachineId, start: Time) {
-        self.trackers[job.org.index()].on_complete(start, t);
+        self.0.on_complete(t, job.org, start);
     }
 
     fn select(&mut self, ctx: &SelectContext<'_>) -> OrgId {
-        let t = ctx.t;
-        let trackers = &self.trackers;
-        let bumps = &self.bumps;
-        let machines = &self.machines;
-        self.picker.pick_min_key(ctx, |u| {
-            let usage = trackers[u.index()].cpu_time_at(t) + bumps.get(t, u);
-            Frac::new(usage, machines[u.index()] as Util)
-        })
+        self.0.select(ctx)
     }
 }
 
@@ -67,18 +128,19 @@ impl Scheduler for FairShareScheduler {
 /// strategy-proof utility `ψ_sp` instead of raw CPU time — the organization
 /// with the smallest `ψ_sp / share` goes next. Included because it shares
 /// FAIRSHARE's mechanism but REF's metric (Section 7.1).
-#[derive(Clone, Debug, Default)]
-pub struct UtFairShareScheduler {
-    trackers: Vec<SpTracker>,
-    bumps: StepBumps,
-    picker: OrgPicker,
-    machines: Vec<usize>,
-}
+#[derive(Clone, Debug)]
+pub struct UtFairShareScheduler(UsageShare);
 
 impl UtFairShareScheduler {
     /// A fresh UTFAIRSHARE scheduler.
     pub fn new() -> Self {
-        Self::default()
+        UtFairShareScheduler(UsageShare::new(SpTracker::value_at))
+    }
+}
+
+impl Default for UtFairShareScheduler {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -88,31 +150,23 @@ impl Scheduler for UtFairShareScheduler {
     }
 
     fn init(&mut self, info: &ClusterInfo) {
-        let n = info.n_orgs();
-        self.trackers = vec![SpTracker::new(); n];
-        self.bumps = StepBumps::new(n);
-        self.picker = OrgPicker::new(n);
-        self.machines = info.org_machines().to_vec();
+        self.0.init(info);
+    }
+
+    fn on_release(&mut self, _t: Time, _job: &JobMeta) {
+        self.0.picker.invalidate();
     }
 
     fn on_start(&mut self, t: Time, job: &JobMeta, _machine: MachineId) {
-        self.trackers[job.org.index()].on_start(t);
-        self.bumps.add(t, job.org, 1);
+        self.0.on_start(t, job.org);
     }
 
     fn on_complete(&mut self, t: Time, job: &JobMeta, _machine: MachineId, start: Time) {
-        self.trackers[job.org.index()].on_complete(start, t);
+        self.0.on_complete(t, job.org, start);
     }
 
     fn select(&mut self, ctx: &SelectContext<'_>) -> OrgId {
-        let t = ctx.t;
-        let trackers = &self.trackers;
-        let bumps = &self.bumps;
-        let machines = &self.machines;
-        self.picker.pick_min_key(ctx, |u| {
-            let utility = trackers[u.index()].value_at(t) + bumps.get(t, u);
-            Frac::new(utility, machines[u.index()] as Util)
-        })
+        self.0.select(ctx)
     }
 }
 
@@ -123,7 +177,7 @@ impl Scheduler for UtFairShareScheduler {
 #[derive(Clone, Debug, Default)]
 pub struct CurrFairShareScheduler {
     running: Vec<Util>,
-    picker: OrgPicker,
+    picker: OrgPicker<Frac>,
     machines: Vec<usize>,
 }
 
@@ -131,6 +185,11 @@ impl CurrFairShareScheduler {
     /// A fresh CURRFAIRSHARE scheduler.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// `u`'s selection key.
+    fn key(running: &[Util], machines: &[usize], u: OrgId) -> Frac {
+        Frac::new(running[u.index()], machines[u.index()] as Util)
     }
 }
 
@@ -146,8 +205,13 @@ impl Scheduler for CurrFairShareScheduler {
         self.machines = info.org_machines().to_vec();
     }
 
-    fn on_start(&mut self, _t: Time, job: &JobMeta, _machine: MachineId) {
+    fn on_release(&mut self, _t: Time, _job: &JobMeta) {
+        self.picker.invalidate();
+    }
+
+    fn on_start(&mut self, t: Time, job: &JobMeta, _machine: MachineId) {
         self.running[job.org.index()] += 1;
+        self.picker.patch(t, job.org, Self::key(&self.running, &self.machines, job.org));
     }
 
     fn on_complete(
@@ -158,14 +222,12 @@ impl Scheduler for CurrFairShareScheduler {
         _start: Time,
     ) {
         self.running[job.org.index()] -= 1;
+        self.picker.invalidate();
     }
 
     fn select(&mut self, ctx: &SelectContext<'_>) -> OrgId {
-        let running = &self.running;
-        let machines = &self.machines;
-        self.picker.pick_min_key(ctx, |u| {
-            Frac::new(running[u.index()], machines[u.index()] as Util)
-        })
+        let (running, machines) = (&self.running, &self.machines);
+        self.picker.pick_min_key(ctx, |u| Self::key(running, machines, u))
     }
 }
 
@@ -173,6 +235,7 @@ impl Scheduler for CurrFairShareScheduler {
 mod tests {
     use super::*;
     use crate::model::JobId;
+    use crate::scheduler::testkit::assert_matches_oracle;
 
     fn meta(id: u32, org: u32) -> JobMeta {
         JobMeta { id: JobId(id), org: OrgId(org), release: 0 }
@@ -258,6 +321,39 @@ mod tests {
         // Now `a` has a running job; the other org must be preferred.
         let b = s.select(&ctx(50, &w));
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn cached_picks_match_the_per_call_scan() {
+        fn scan(s: &mut UsageShare, ctx: &SelectContext<'_>) -> OrgId {
+            let usage = &s.usage;
+            s.picker.pick_min_key_scan(ctx, |u| usage.key(ctx.t, u))
+        }
+        assert_matches_oracle(FairShareScheduler::new, |s, ctx| scan(&mut s.0, ctx));
+        assert_matches_oracle(UtFairShareScheduler::new, |s, ctx| scan(&mut s.0, ctx));
+        assert_matches_oracle(CurrFairShareScheduler::new, |s, ctx| {
+            let (running, machines) = (&s.running, &s.machines);
+            s.picker.pick_min_key_scan(ctx, |u| {
+                CurrFairShareScheduler::key(running, machines, u)
+            })
+        });
+    }
+
+    #[test]
+    fn completion_within_a_round_refreshes_the_cached_keys() {
+        // The engine never completes a job at the time it selects at, but
+        // the hook contract allows it: the next pick must see the new key.
+        let mut s = CurrFairShareScheduler::new();
+        s.init(&ClusterInfo::new(vec![1, 1]));
+        let w = [3usize, 3];
+        for (i, expected) in [0, 1, 0].into_iter().enumerate() {
+            assert_eq!(s.select(&ctx(7, &w)), OrgId(expected));
+            s.on_start(7, &meta(i as u32, expected), MachineId(0));
+        }
+        // Running 2 vs 1; org 0 completes both of its jobs.
+        s.on_complete(7, &meta(0, 0), MachineId(0), 6);
+        s.on_complete(7, &meta(2, 0), MachineId(0), 6);
+        assert_eq!(s.select(&ctx(7, &w)), OrgId(0));
     }
 
     #[test]

@@ -38,12 +38,14 @@ mod rand_shapley;
 mod ref_exact;
 pub mod registry;
 mod round_robin;
+#[cfg(test)]
+pub(crate) mod testkit;
 
 pub use direct_contr::DirectContrScheduler;
 pub use fair_share::{CurrFairShareScheduler, FairShareScheduler, UtFairShareScheduler};
 pub use fifo::{FifoScheduler, RandomScheduler};
 pub use general_ref::GeneralRefScheduler;
-pub use rand_shapley::{RandScheduler, MAX_PERMUTATIONS};
+pub use rand_shapley::{RandScheduler, MAX_PERMUTATIONS, MAX_SAMPLED_SLOTS};
 pub use ref_exact::RefScheduler;
 pub use registry::{
     BuildContext, Registry, SchedulerFactory, SchedulerKind, SchedulerSpec, SpecError,
@@ -83,6 +85,14 @@ impl SelectContext<'_> {
 /// job's processing time before its completion (`on_complete` implies
 /// `proc_time = t − start`). All schedulers must be **greedy**: `select`
 /// must return an organization with `waiting > 0` whenever asked.
+///
+/// **Round contract.** The selections the engine makes at one event time
+/// `t` form a round: all of `t`'s completions and releases are delivered
+/// first, then, between two `select`s at `t`, only `pick_machine` and
+/// `on_start` for the job just picked run, and waiting counts only fall.
+/// Every change of scheduler state goes through a hook. A scheduler may
+/// therefore cache per-round decisions (see [`OrgPicker`]) as long as
+/// its hooks keep the cache current.
 pub trait Scheduler {
     /// Display name (used in experiment tables).
     fn name(&self) -> String;
@@ -148,25 +158,63 @@ pub trait Scheduler {
     }
 }
 
-/// Deterministic argmax tie-breaking shared by the contribution-based
-/// schedulers: prefer the largest key; break ties by the least recently
-/// selected organization, then by index. This prevents a persistent bias
-/// toward low-index organizations when keys tie (common at the start of a
-/// trace when all utilities are 0).
-#[derive(Clone, Debug, Default)]
-pub struct OrgPicker {
+/// Deterministic arg-extremum tie-breaking shared by the schedulers that
+/// rank organizations by a key: prefer the best key; break ties by the
+/// least recently selected organization, then by index. This prevents a
+/// persistent bias toward low-index organizations when keys tie (common at
+/// the start of a trace when all utilities are 0).
+///
+/// [`OrgPicker::pick_min_key`] evaluates each waiting organization's key
+/// once per *round* — the selections of one event time — and relies on
+/// the [`Scheduler`] round contract: between two selections at the same
+/// `t` only `pick_machine` and `on_start` run, so after a pick only the
+/// picked organization's key can move, and the scheduler hands the new
+/// key to [`OrgPicker::patch`] from `on_start`. A hook that can change
+/// another key or add a waiting organization (`on_release`, and
+/// `on_complete` where completions move keys) calls
+/// [`OrgPicker::invalidate`]; `init` builds a fresh picker, and a new `t`
+/// starts a new round. `on_admit` needs nothing: an admitted job waits
+/// only from its release, and that hook invalidates.
+#[derive(Clone, Debug)]
+pub struct OrgPicker<K = Util> {
     stamps: Vec<u64>,
     counter: u64,
+    /// The time of the cached round; `None` once invalidated.
+    round: Option<Time>,
+    /// The round's candidates `(org, key)`: the organizations that had
+    /// waiting jobs when the round began, minus those found empty since.
+    candidates: Vec<(OrgId, K)>,
+}
+
+impl<K> Default for OrgPicker<K> {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl<K> OrgPicker<K> {
+    /// A picker for `n` organizations.
+    pub fn new(n: usize) -> Self {
+        OrgPicker { stamps: vec![0; n], counter: 0, round: None, candidates: Vec::new() }
+    }
+
+    /// Records that `org` was selected (for recency tie-breaking).
+    pub fn note(&mut self, org: OrgId) {
+        self.counter += 1;
+        self.stamps[org.index()] = self.counter;
+    }
+
+    /// Drops the cached round: the next [`OrgPicker::pick_min_key`]
+    /// re-evaluates every waiting organization's key.
+    pub fn invalidate(&mut self) {
+        self.round = None;
+    }
 }
 
 impl OrgPicker {
-    /// A picker for `n` organizations.
-    pub fn new(n: usize) -> Self {
-        OrgPicker { stamps: vec![0; n], counter: 0 }
-    }
-
     /// Picks the organization with the maximal key among those with waiting
-    /// jobs and records the pick. `key` is evaluated once per candidate.
+    /// jobs and records the pick. `key` is evaluated once per candidate
+    /// and per call.
     ///
     /// # Panics
     /// Panics if no organization has waiting jobs.
@@ -196,19 +244,74 @@ impl OrgPicker {
         self.note(best);
         best
     }
+}
 
+impl<K: Ord + Copy> OrgPicker<K> {
     /// Picks the organization with the **minimal** key (generic ordered
     /// key, e.g. a fair-share ratio) among those with waiting jobs, with the
-    /// same recency/index tie-breaking as [`OrgPicker::pick_max`].
-    pub fn pick_min_key<K: Ord>(
+    /// same recency/index tie-breaking as [`OrgPicker::pick_max`], and
+    /// records the pick.
+    ///
+    /// The first call of a round (a new `ctx.t`, or after
+    /// [`OrgPicker::invalidate`]) evaluates `key` once per waiting
+    /// organization; later calls at the same `t` scan the cached keys,
+    /// dropping organizations whose queue has emptied, and do not call
+    /// `key`.
+    ///
+    /// # Panics
+    /// Panics if no organization has waiting jobs.
+    pub fn pick_min_key(
         &mut self,
         ctx: &SelectContext<'_>,
         mut key: impl FnMut(OrgId) -> K,
     ) -> OrgId {
+        if self.round == Some(ctx.t) {
+            self.candidates.retain(|(u, _)| ctx.waiting[u.index()] > 0);
+        } else {
+            self.candidates.clear();
+            self.candidates.extend(ctx.waiting_orgs().map(|u| (u, key(u))));
+            self.round = Some(ctx.t);
+        }
+        let stamps = &self.stamps;
         #[expect(
             clippy::expect_used,
             reason = "documented panic: `select` is called only with a waiting job"
         )]
+        let best = self
+            .candidates
+            .iter()
+            .min_by(|(a, ka), (b, kb)| {
+                ka.cmp(kb)
+                    .then_with(|| stamps[a.index()].cmp(&stamps[b.index()]))
+                    .then_with(|| a.0.cmp(&b.0))
+            })
+            .map(|&(u, _)| u)
+            .expect("select called with no waiting jobs");
+        self.note(best);
+        best
+    }
+
+    /// Sets `org`'s cached key in the round at `t` to `key`. A no-op
+    /// outside that round or for an organization that is not a candidate
+    /// (its queue was empty when the round began, and no release can fill
+    /// it within the round).
+    pub fn patch(&mut self, t: Time, org: OrgId, key: K) {
+        if self.round == Some(t) {
+            if let Some(entry) = self.candidates.iter_mut().find(|(u, _)| *u == org) {
+                entry.1 = key;
+            }
+        }
+    }
+
+    /// [`OrgPicker::pick_min_key`] without the round cache: every waiting
+    /// organization's key on every call. The oracle of the differential
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn pick_min_key_scan(
+        &mut self,
+        ctx: &SelectContext<'_>,
+        mut key: impl FnMut(OrgId) -> K,
+    ) -> OrgId {
         let best = ctx
             .waiting_orgs()
             .map(|u| (u, key(u)))
@@ -221,12 +324,6 @@ impl OrgPicker {
             .expect("select called with no waiting jobs");
         self.note(best);
         best
-    }
-
-    /// Records that `org` was selected (for recency tie-breaking).
-    pub fn note(&mut self, org: OrgId) {
-        self.counter += 1;
-        self.stamps[org.index()] = self.counter;
     }
 }
 
@@ -256,6 +353,13 @@ impl Ord for Frac {
             (0, 0) => self.num.cmp(&other.num),
             (0, _) => std::cmp::Ordering::Greater,
             (_, 0) => std::cmp::Ordering::Less,
+            // The common case: all four operands fit in 64 bits, so the
+            // cross products fit in `u128` exactly (negative operands,
+            // outside the invariant, fail the test and fall through).
+            _ if (self.num | self.den | other.num | other.den) as u128 >> 64 == 0 => {
+                let lhs = self.num as u128 * other.den as u128;
+                lhs.cmp(&(other.num as u128 * self.den as u128))
+            }
             // Cross-multiplication can overflow i128 for near-max
             // utilities; fall back to an exact 256-bit comparison.
             _ => match (self.num.checked_mul(other.den), other.num.checked_mul(self.den))
@@ -423,6 +527,33 @@ mod tests {
         assert!(Frac::new(Util::MAX, 1) > Frac::new(Util::MAX - 1, 1));
         // And the wide path agrees with the narrow one where both work.
         assert_eq!(wide_product_cmp(3, 5, 4, 4), (3i128 * 5).cmp(&(4 * 4)));
+    }
+
+    #[test]
+    fn frac_u64_fast_path_agrees_with_the_wide_product_at_its_boundaries() {
+        use std::cmp::Ordering::{Greater, Less};
+        let word = u64::MAX as Util;
+        // 0, small, the largest and smallest values around 2^64, i128::MAX.
+        let values = [0, 1, 2, word - 1, word, word + 1, Util::MAX - 1, Util::MAX];
+        for &a in &values {
+            for &b in &values {
+                for &c in &values {
+                    for &d in &values {
+                        let (x, y) = (Frac::new(a, b), Frac::new(c, d));
+                        let expected = match (b, d) {
+                            (0, 0) => a.cmp(&c),
+                            (0, _) => Greater,
+                            (_, 0) => Less,
+                            _ => wide_product_cmp(
+                                a as u128, d as u128, c as u128, b as u128,
+                            ),
+                        };
+                        assert_eq!(x.cmp(&y), expected, "{a}/{b} vs {c}/{d}");
+                        assert_eq!(y.cmp(&x), expected.reverse(), "{c}/{d} vs {a}/{b}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `N = 15` and `N = 75`): sampled coalitions are scheduled greedy-FIFO,
 //! a fixed documented choice (DESIGN.md).
 
-use super::lattice::{CoalitionLattice, Policy};
+use super::lattice::{CoalitionLattice, Policy, MAX_FULL_ORGS};
 use super::{OrgPicker, Scheduler, SelectContext, StepBumps};
 use crate::model::{ClusterInfo, JobMeta, MachineId, OrgId, Time, Trace};
 use crate::utility::{SpTracker, Util};
@@ -27,6 +27,29 @@ use rand::SeedableRng;
 /// Hoeffding-derived: the FPRAS sizing at k = 10, ε = 0.1, λ = 0.9 needs
 /// ~46 k, and a budget beyond this would only fail to allocate.
 pub const MAX_PERMUTATIONS: usize = 1 << 20;
+
+/// The most coalition × organization slots a `rand` spec may make the
+/// sampled lattice allocate. Each simulated coalition keeps one slot per
+/// organization of the trace, about 144 bytes, so this is the footprint
+/// of the full lattice at [`MAX_FULL_ORGS`] organizations: 16 · 2^16
+/// slots, ~150 MB. At 64 organizations 15 permutations need 60 k slots,
+/// while the Hoeffding budget of ε = λ = 0.5 (~80 k permutations) would
+/// need ~320 M.
+pub const MAX_SAMPLED_SLOTS: usize = MAX_FULL_ORGS << MAX_FULL_ORGS;
+
+/// An upper bound, known before anything is drawn, on the coalition ×
+/// organization slots of RAND's lattice for `n_permutations` sampled
+/// orders of `k` organizations. Each order contributes at most its
+/// `k − 1` proper non-empty prefixes besides the grand coalition all
+/// orders share, and there are `2^k − 1` non-empty coalitions.
+pub(crate) fn sampled_slots(k: usize, n_permutations: usize) -> usize {
+    let drawn = n_permutations.saturating_mul(k.saturating_sub(1)).saturating_add(1);
+    let all = u32::try_from(k)
+        .ok()
+        .and_then(|k| 1usize.checked_shl(k))
+        .map_or(usize::MAX, |n| n - 1);
+    drawn.min(all).saturating_mul(k)
+}
 
 /// The randomized approximate fair scheduler.
 #[derive(Clone, Debug)]

@@ -36,10 +36,12 @@
 //! assert_eq!(spec.to_string(), "rand:perms=10");
 //! ```
 
+use super::rand_shapley::sampled_slots;
 use super::{
     CurrFairShareScheduler, DirectContrScheduler, FairShareScheduler, FifoScheduler,
     GeneralRefScheduler, RandScheduler, RandomScheduler, RefScheduler,
     RoundRobinScheduler, Scheduler, UtFairShareScheduler, MAX_PERMUTATIONS,
+    MAX_SAMPLED_SLOTS,
 };
 use crate::model::Trace;
 use crate::spec::{self, Factory, FnFactory, Spec, SpecFailure, SpecKind};
@@ -243,7 +245,7 @@ impl SpecKind for SchedulerKind {
     /// |---|---|---|
     /// | `ref` | [`RefScheduler`] | — |
     /// | `general-ref` | [`GeneralRefScheduler`] | `util` = `sp` \| `flowtime` \| `makespan` \| `share` \| `tardiness` |
-    /// | `rand` | [`RandScheduler`] | `perms` (default 15), or `eps` + `lambda` for the Theorem 5.6 sizing; at most [`MAX_PERMUTATIONS`] either way |
+    /// | `rand` | [`RandScheduler`] | `perms` (default 15), or `eps` + `lambda` for the Theorem 5.6 sizing; at most [`MAX_PERMUTATIONS`] either way, and at most [`MAX_SAMPLED_SLOTS`] sampled coalition × organization slots |
     /// | `directcontr` | [`DirectContrScheduler`] | — |
     /// | `fairshare` | [`FairShareScheduler`] | — |
     /// | `utfairshare` | [`UtFairShareScheduler`] | — |
@@ -357,6 +359,20 @@ impl SpecKind for SchedulerKind {
                         key,
                         format!(
                             "{perms} sampled permutations is outside 1..={MAX_PERMUTATIONS}"
+                        ),
+                    ));
+                }
+                // Checked before anything is drawn or allocated: past the
+                // budget the lattice would exhaust memory, not fail.
+                let k = ctx.trace.n_orgs();
+                let slots = sampled_slots(k, perms);
+                if slots > MAX_SAMPLED_SLOTS {
+                    return Err(spec.bad_param(
+                        key,
+                        format!(
+                            "{perms} sampled permutations of {k} organizations may simulate \
+                             {slots} coalition × organization slots, over the budget of \
+                             {MAX_SAMPLED_SLOTS}"
                         ),
                     ));
                 }
@@ -598,6 +614,58 @@ mod tests {
                 Err(other) => panic!("{text}: wrong error {other}"),
                 Ok(_) => panic!("{text} must not build"),
             }
+        }
+    }
+
+    #[test]
+    fn oversized_sampled_lattices_are_typed_errors() {
+        // 64 organizations: the budget check must fire before RAND draws
+        // a permutation or allocates a coalition.
+        let mut b = Trace::builder();
+        for u in 0..64 {
+            let org = b.org(format!("o{u}"), 1);
+            b.job(org, 0, 1);
+        }
+        let trace = b.build().unwrap();
+        let registry = Registry::default();
+        let ctx = BuildContext { trace: &trace, seed: 0 };
+        for (text, key) in
+            [("rand:eps=0.5,lambda=0.5", "eps"), ("rand:perms=1048576", "perms")]
+        {
+            match registry.build_str(text, &ctx) {
+                Err(SpecError::BadParam { param, reason, .. }) => {
+                    assert_eq!(param, key, "{text}");
+                    assert!(
+                        reason.contains("coalition × organization slots"),
+                        "{text}: {reason}"
+                    );
+                }
+                Err(other) => panic!("{text}: wrong error {other}"),
+                Ok(_) => panic!("{text} must not build"),
+            }
+        }
+        // The paper's N = 15 stays far inside the budget.
+        assert!(registry.build_str("rand:perms=15", &ctx).is_ok());
+    }
+
+    #[test]
+    fn sampled_slots_bounds_the_lattice_rand_builds() {
+        assert_eq!(sampled_slots(1, MAX_PERMUTATIONS), 1);
+        assert_eq!(sampled_slots(10, 46_000), 1023 * 10);
+        assert_eq!(sampled_slots(64, 15), (15 * 63 + 1) * 64);
+        assert_eq!(sampled_slots(64, usize::MAX), usize::MAX);
+        for (k, perms) in [(3, 1), (6, 4), (8, 30), (12, 7)] {
+            let mut b = Trace::builder();
+            for u in 0..k {
+                let org = b.org(format!("o{u}"), 1);
+                b.job(org, 0, 1);
+            }
+            let trace = b.build().unwrap();
+            let rand = RandScheduler::new(&trace, perms, 5);
+            assert!(
+                rand.n_coalitions() * k <= sampled_slots(k, perms),
+                "k={k}, N={perms}"
+            );
         }
     }
 

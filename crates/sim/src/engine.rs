@@ -3,7 +3,7 @@
 use crate::cluster::Cluster;
 use crate::session::SimError;
 use fairsched_core::checked_time;
-use fairsched_core::model::{JobId, MachineId, Time, Trace};
+use fairsched_core::model::{JobId, JobMeta, MachineId, Time, Trace};
 use fairsched_core::schedule::{Schedule, ScheduledJob};
 use fairsched_core::scheduler::{Scheduler, SelectContext};
 use fairsched_core::utility::{sp_vector, Util};
@@ -159,10 +159,16 @@ impl EngineState {
         scheduler: &mut dyn Scheduler,
         until: Time,
     ) -> Result<(), SimError> {
-        // The release loop walks the raw columns (cache-hot; assembling a
-        // full `Job` per release is only needed for the scheduler callback).
+        // The loop and the scheduler callbacks read the raw columns; no
+        // full `Job` (deadline included) is assembled per event.
         let releases = trace.releases();
         let job_orgs = trace.job_orgs();
+        let proc_times = trace.proc_times();
+        let meta = |id: JobId| JobMeta {
+            id,
+            org: job_orgs[id.index()],
+            release: releases[id.index()],
+        };
 
         loop {
             // Next event time: the earlier of the next release and completion.
@@ -187,7 +193,7 @@ impl EngineState {
                 let machine = MachineId(machine);
                 let (job, start) = self.cluster.complete(machine);
                 self.completed_jobs += 1;
-                scheduler.on_complete(t, &trace.job(job).meta(), machine, start);
+                scheduler.on_complete(t, &meta(job), machine, start);
             }
 
             // 2. Releases at t enter the queues.
@@ -197,7 +203,7 @@ impl EngineState {
                 self.waiting[org.index()].push_back(id);
                 self.waiting_counts[org.index()] += 1;
                 self.total_waiting += 1;
-                scheduler.on_release(t, &trace.job(id).meta());
+                scheduler.on_release(t, &JobMeta { id, org, release: t });
                 self.next_release += 1;
             }
 
@@ -229,7 +235,8 @@ impl EngineState {
                     self.waiting[org.index()].pop_front().expect("count/queue mismatch");
                 self.waiting_counts[org.index()] -= 1;
                 self.total_waiting -= 1;
-                let job = trace.job(job_id);
+                let job = meta(job_id);
+                let proc_time = proc_times[job_id.index()];
 
                 let machine_idx = {
                     let ctx = SelectContext {
@@ -237,7 +244,7 @@ impl EngineState {
                         waiting: &self.waiting_counts,
                         free_machines: self.cluster.free_machines(),
                     };
-                    match scheduler.pick_machine(&ctx, &job.meta()) {
+                    match scheduler.pick_machine(&ctx, &job) {
                         None => 0,
                         Some(i) if i < self.cluster.free_machines().len() => i,
                         Some(i) => {
@@ -251,18 +258,16 @@ impl EngineState {
                     }
                 };
                 let machine = self.cluster.start(machine_idx, job_id, t);
-                self.completions.push(Reverse((
-                    checked_time::completion(t, job.proc_time),
-                    machine.0,
-                )));
+                self.completions
+                    .push(Reverse((checked_time::completion(t, proc_time), machine.0)));
                 self.schedule.push(ScheduledJob {
                     job: job_id,
                     org: job.org,
                     machine,
                     start: t,
-                    proc_time: job.proc_time,
+                    proc_time,
                 });
-                scheduler.on_start(t, &job.meta(), machine);
+                scheduler.on_start(t, &job, machine);
             }
         }
 

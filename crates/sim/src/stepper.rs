@@ -396,6 +396,65 @@ mod tests {
         }
     }
 
+    /// The schedulers that cache selection keys per event time keep the
+    /// batch schedule when jobs arrive between steps: seeded traces at
+    /// k ∈ {1, 2, 5, 100} with zero-machine organizations, equal releases
+    /// and a backlog, a third of the jobs admitted online.
+    #[test]
+    fn round_cached_schedulers_admit_mid_run_like_the_batch_run() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (k, seed) in [(1usize, 1u64), (2, 2), (5, 3), (100, 4)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let machines: Vec<usize> = (0..k)
+                .map(|u| {
+                    if u > 0 && rng.random_bool(0.3) {
+                        0
+                    } else {
+                        rng.random_range(1..3)
+                    }
+                })
+                .collect();
+            let mut job = |span: Time| {
+                (
+                    rng.random_range(0..k) as u32,
+                    rng.random_range(1..span),
+                    rng.random_range(1..20),
+                )
+            };
+            let base: Vec<_> = (0..3 * k + 10).map(|_| job(40)).collect();
+            let online: Vec<_> = (0..k + 5).map(|_| job(80)).collect();
+            let build = |jobs: &[(u32, Time, Time)]| {
+                let mut b = Trace::builder();
+                for (u, &m) in machines.iter().enumerate() {
+                    b.org(format!("o{u}"), m);
+                }
+                for &(u, r, p) in jobs {
+                    b.job(OrgId(u), r, p);
+                }
+                b.build().unwrap()
+            };
+            let grown = build(&[base.clone(), online.clone()].concat());
+            for spec in ["fifo", "fairshare", "utfairshare", "currfairshare"] {
+                let expected = batch(&grown, spec, seed, 100_000);
+                let mut session = SimSession::new(build(&base), spec, seed).unwrap();
+                for until in (0..=90).step_by(6) {
+                    for &(u, r, p) in &online {
+                        if r <= until && session.stepped_to().is_none_or(|s| r > s) {
+                            session.admit(OrgId(u), r, p, None).unwrap();
+                        }
+                    }
+                    session.step(until).unwrap();
+                }
+                let got = session.finish(100_000, true).unwrap();
+                let case = format!("{spec} at k={k}");
+                assert_eq!(got.completed_jobs, grown.n_jobs(), "{case}");
+                assert_eq!(got.schedule, expected.schedule, "{case}: schedule");
+                assert_eq!(got.psi, expected.psi, "{case}: psi");
+            }
+        }
+    }
+
     #[test]
     fn admit_at_or_before_stepped_to_is_rejected() {
         let mut session = SimSession::new(small_trace(), "fifo", 0).unwrap();
