@@ -240,62 +240,73 @@ fn allow_entry(file_label: &str, t: &Table) -> Result<AllowEntry, ConfigError> {
     Ok(AllowEntry { rule, path, count, reason, line: t.line })
 }
 
-/// The parsed ratchet: rule → maximum accepted violation count. The
-/// committed counts may only decrease over time; `fairsched-analyze check
-/// --update-ratchet` rewrites the file to the current (lower) counts.
+/// The parsed ratchet: rule → maximum accepted violation count, and
+/// clippy lint → maximum number of `#[expect(clippy::<lint>)]` sites in
+/// library code. The committed counts may only decrease over time;
+/// `fairsched-analyze check --update-ratchet` rewrites the file to the
+/// current (lower) counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Ratchet {
-    /// Rule → ceiling.
+    /// Rule → ceiling (the `[ratchet]` section).
     pub limits: BTreeMap<String, u64>,
+    /// Clippy lint → ceiling on its deliberate exceptions (the `[expect]`
+    /// section).
+    pub expects: BTreeMap<String, u64>,
 }
 
 impl Ratchet {
-    /// Parses `lint_ratchet.toml` text: a single `[ratchet]` section of
-    /// `rule = count` pairs.
+    /// Parses `lint_ratchet.toml` text: a `[ratchet]` section of `rule =
+    /// count` pairs and an optional `[expect]` section of `lint = count`
+    /// pairs.
     pub fn parse(file_label: &str, text: &str) -> Result<Self, ConfigError> {
         let tables = toml_lite::parse(file_label, text)?;
-        let mut limits = BTreeMap::new();
+        let mut out = Ratchet::default();
         for t in tables {
-            if t.array || t.name != "ratchet" {
-                return Err(ConfigError {
-                    file: file_label.to_string(),
-                    line: t.line,
-                    message: format!(
-                        "unexpected section {:?} (only [ratchet] is defined)",
-                        t.name
-                    ),
-                });
-            }
+            let err = |message: String| ConfigError {
+                file: file_label.to_string(),
+                line: t.line,
+                message,
+            };
+            let section = match t.name.as_str() {
+                "ratchet" if !t.array => &mut out.limits,
+                "expect" if !t.array => &mut out.expects,
+                _ => {
+                    return Err(err(format!(
+                    "unexpected section {:?} (only [ratchet] and [expect] are defined)",
+                    t.name
+                )))
+                }
+            };
             for (k, v) in &t.entries {
                 let Value::Int(n) = v else {
-                    return Err(ConfigError {
-                        file: file_label.to_string(),
-                        line: t.line,
-                        message: format!("ratchet count for {k:?} must be an integer"),
-                    });
+                    return Err(err(format!(
+                        "ratchet count for {k:?} must be an integer"
+                    )));
                 };
-                if limits.insert(k.clone(), *n).is_some() {
-                    return Err(ConfigError {
-                        file: file_label.to_string(),
-                        line: t.line,
-                        message: format!("duplicate ratchet entry for {k:?}"),
-                    });
+                if section.insert(k.clone(), *n).is_some() {
+                    return Err(err(format!("duplicate ratchet entry for {k:?}")));
                 }
             }
         }
-        Ok(Ratchet { limits })
+        Ok(out)
     }
 
     /// Renders the canonical file text for `--update-ratchet`.
     pub fn render(&self) -> String {
         let mut out = String::from(
-            "# Per-rule violation ceilings for `fairsched-analyze check`.\n\
-             # Counts may only decrease: lower the number when you fix sites,\n\
-             # never raise it. Regenerate with `fairsched-analyze check\n\
-             # --update-ratchet` after a burn-down.\n\n[ratchet]\n",
+            "# Per-rule violation ceilings for `fairsched-analyze check`, and\n\
+             # under [expect] per-lint ceilings on `#[expect(clippy::<lint>)]`\n\
+             # sites in library code. Counts may only decrease: lower the\n\
+             # number when you fix sites, never raise it. Regenerate with\n\
+             # `fairsched-analyze check --update-ratchet` after a burn-down.\n\n\
+             [ratchet]\n",
         );
         for (rule, count) in &self.limits {
             out.push_str(&format!("{rule} = {count}\n"));
+        }
+        out.push_str("\n[expect]\n");
+        for (lint, count) in &self.expects {
+            out.push_str(&format!("{lint} = {count}\n"));
         }
         out
     }
@@ -439,9 +450,11 @@ reason = "deliberate malformed fixtures"
 
     #[test]
     fn parses_ratchet_and_renders_canonically() {
-        let text = "[ratchet]\ntime-arith = 240 # ceiling\nhygiene = 12\n";
+        let text = "[ratchet]\ntime-arith = 240 # ceiling\nhygiene = 12\n\
+                    [expect]\nunwrap_used = 3\n";
         let r = Ratchet::parse("lint_ratchet.toml", text).unwrap();
         assert_eq!(r.limits.get("time-arith"), Some(&240));
+        assert_eq!(r.expects.get("unwrap_used"), Some(&3));
         let rendered = r.render();
         let again = Ratchet::parse("lint_ratchet.toml", &rendered).unwrap();
         assert_eq!(again, r);

@@ -535,7 +535,7 @@ mod tests {
         assert!(file.allowed("time-arith", 2));
         assert!(file.allowed("time-arith", 3));
         assert!(!file.allowed("time-arith", 4));
-        assert!(!file.allowed("durability", 3));
+        assert!(!file.allowed("spec-literal", 3));
     }
 
     #[test]

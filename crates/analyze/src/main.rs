@@ -10,9 +10,10 @@ const USAGE: &str = "\
 usage: fairsched-analyze check [--root DIR] [--report FILE] [--update-ratchet]
 
 Offline static analysis of the fairsched workspace: Time-overflow
-widening, spec-literal validity, golden/bench hygiene, replay
-determinism, journaled-write durability, and schema-version
-registration. (Panic-freedom is clippy's job: see the root Cargo.toml.)
+widening, spec-literal validity, golden/bench hygiene (with per-lint
+ceilings on #[expect(clippy::...)] sites), and schema-version
+registration. (Panic-freedom, determinism and durable writes are
+clippy's job: see the root Cargo.toml and each crate's clippy.toml.)
 
   --root DIR        workspace root (default: current directory)
   --report FILE     also write the JSON report here

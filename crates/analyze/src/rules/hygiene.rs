@@ -22,10 +22,18 @@
 //!   spec-literal rule);
 //! * every golden file must be referenced by name from some workspace
 //!   `.rs` file — an unreferenced golden is dead weight that silently
-//!   stops guarding anything (reported as an orphan).
+//!   stops guarding anything (reported as an orphan);
+//! * the deliberate clippy exceptions in non-test library code — each
+//!   `#[expect(clippy::<lint>, …)]` or `#![expect(clippy::<lint>, …)]`
+//!   — may not outnumber, per lint, the ceiling in `lint_ratchet.toml`'s
+//!   `[expect]` section, so a new panic site or raw write cannot slip in
+//!   behind a fresh expectation unseen.
 
+use std::collections::BTreeMap;
+
+use crate::lexer::{Tok, Token};
 use crate::rules::HYGIENE;
-use crate::{Finding, SourceFile};
+use crate::{is_library, Finding, SourceFile};
 
 /// The expected `schema` tag in `BENCH_lattice.json`.
 pub const BENCH_SCHEMA: &str = "fairsched-bench-lattice/v1";
@@ -269,10 +277,130 @@ pub fn check_orphans(
     }
 }
 
+/// Counts, per clippy lint, the `#[expect(clippy::<lint>, …)]` and
+/// `#![expect(clippy::<lint>, …)]` attributes in non-test library code.
+/// An attribute that expects several lints counts once for each.
+pub fn count_expects(sources: &[SourceFile]) -> BTreeMap<String, u64> {
+    let mut counts = BTreeMap::new();
+    for src in sources.iter().filter(|s| is_library(&s.rel)) {
+        let toks = &src.lexed.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            if t.in_test || t.tok != Tok::Punct('#') {
+                continue;
+            }
+            let open = if is(toks, i + 1, "!") { i + 2 } else { i + 1 };
+            if !(is(toks, open, "[")
+                && is(toks, open + 1, "expect")
+                && is(toks, open + 2, "("))
+            {
+                continue;
+            }
+            let mut depth = 0;
+            for j in open + 2..toks.len() {
+                match &toks[j].tok {
+                    Tok::Punct('(') => depth += 1,
+                    Tok::Punct(')') if depth == 1 => break,
+                    Tok::Punct(')') => depth -= 1,
+                    Tok::Ident(c) if c == "clippy" && is(toks, j + 1, ":") => {
+                        if let Some(Tok::Ident(lint)) = toks.get(j + 3).map(|t| &t.tok) {
+                            *counts.entry(lint.clone()).or_insert(0) += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    counts
+}
+
+/// Whether token `i` is the identifier or single punctuation `text`.
+fn is(toks: &[Token], i: usize, text: &str) -> bool {
+    match toks.get(i).map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => s == text,
+        Some(Tok::Punct(c)) => text.len() == 1 && text.starts_with(*c),
+        _ => false,
+    }
+}
+
+/// Holds the expectation counts against their committed ceilings: a lint
+/// over its ceiling (a lint with no ceiling has 0) is a finding, and a
+/// ceiling above its count is a stale-ceiling warning.
+pub fn check_expects(
+    counts: &BTreeMap<String, u64>,
+    ceilings: &BTreeMap<String, u64>,
+    out: &mut Vec<Finding>,
+    warnings: &mut Vec<String>,
+) {
+    for (lint, &count) in counts {
+        let limit = ceilings.get(lint).copied().unwrap_or(0);
+        if count > limit {
+            out.push(Finding::new(
+                HYGIENE,
+                "lint_ratchet.toml",
+                0,
+                format!(
+                    "{count} `#[expect(clippy::{lint})]` sites in library code exceed \
+                     the [expect] ceiling of {limit} — fix the new site instead"
+                ),
+            ));
+        }
+    }
+    for (lint, &limit) in ceilings {
+        let count = counts.get(lint).copied().unwrap_or(0);
+        if count < limit {
+            warnings.push(format!(
+                "[expect] ceiling for {lint} is stale: {limit} committed, {count} \
+                 current — tighten it with --update-ratchet"
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
+
+    fn source(rel: &str, src: &str) -> SourceFile {
+        SourceFile { rel: rel.into(), text: src.into(), lexed: lex(src) }
+    }
+
+    #[test]
+    fn expects_are_counted_per_lint_in_library_code_only() {
+        let lib = r#"
+            #![expect(clippy::expect_used, reason = "module")]
+            #[expect(clippy::unwrap_used, clippy::panic, reason = "two lints (x)")]
+            fn f() {}
+            #[allow(clippy::unwrap_used)]
+            fn g() {}
+            #[cfg(test)]
+            mod tests {
+                #[expect(clippy::unwrap_used, reason = "test code")]
+                fn h() {}
+            }
+        "#;
+        let counts = count_expects(&[
+            source("crates/core/src/lib.rs", lib),
+            source("tests/t.rs", "#[expect(clippy::panic)]\nfn t() {}\n"),
+        ]);
+        let want: BTreeMap<String, u64> =
+            [("expect_used", 1), ("panic", 1), ("unwrap_used", 1)]
+                .map(|(l, n)| (l.to_string(), n))
+                .into();
+        assert_eq!(counts, want);
+
+        let mut out = Vec::new();
+        let mut warnings = Vec::new();
+        let ceilings: BTreeMap<String, u64> = [("expect_used", 1), ("unwrap_used", 2)]
+            .map(|(l, n)| (l.to_string(), n))
+            .into();
+        check_expects(&counts, &ceilings, &mut out, &mut warnings);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("clippy::panic"), "{out:?}");
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("unwrap_used"), "{warnings:?}");
+    }
 
     fn parse(json: &str) -> serde::Value {
         serde_json::parse_value(json).expect("test json")
@@ -381,11 +509,7 @@ mod tests {
 
     #[test]
     fn orphans_are_reported() {
-        let src = SourceFile {
-            rel: "tests/t.rs".into(),
-            text: "load(\"tests/golden/used.txt\")".into(),
-            lexed: lex("load(\"tests/golden/used.txt\")"),
-        };
+        let src = source("tests/t.rs", "load(\"tests/golden/used.txt\")");
         let mut out = Vec::new();
         check_orphans(
             &["tests/golden/used.txt".into(), "tests/golden/unused.txt".into()],

@@ -15,9 +15,9 @@
 //!   JSON artifacts) must have a `[[schema]]` entry, or carry
 //!   `lint:allow(schema-version)`;
 //! * every entry's `decode_test` pointer (`file.rs::test_fn`) must name
-//!   a real `#[test]` function — verified against the
-//!   [symbol graph](crate::symbols), so a renamed test breaks the lint,
-//!   not the archaeology;
+//!   a test-scope fn of a scanned source file — found through the
+//!   lexer's test-scope flags, so a renamed test breaks the lint, not the
+//!   archaeology;
 //! * every entry must still be *used*: an id no literal anywhere mentions
 //!   (test usage counts) is a stale registration;
 //! * ids must match the `fairsched-<name>/vN` shape on both sides.
@@ -30,10 +30,10 @@
 use std::collections::BTreeSet;
 
 use crate::config::SchemaRegistry;
+use crate::lexer::{LexedFile, Tok};
 use crate::rules::spec_literals::Literal;
 use crate::rules::SCHEMA_VERSION;
-use crate::symbols::SymbolGraph;
-use crate::Finding;
+use crate::{Finding, SourceFile};
 
 /// The committed registry's workspace-relative path.
 pub const REGISTRY_PATH: &str = "schema_registry.toml";
@@ -51,13 +51,23 @@ pub fn is_schema_id(text: &str) -> bool {
         && version.chars().all(|c| c.is_ascii_digit())
 }
 
+/// Whether `file` declares a fn named `name` in test scope: a `#[test]`
+/// fn, or any fn inside a `#[cfg(test)]` item or `mod tests` block.
+pub fn has_test_fn(file: &LexedFile, name: &str) -> bool {
+    file.tokens.windows(2).any(|w| {
+        matches!(&w[0].tok, Tok::Ident(kw) if kw == "fn")
+            && matches!(&w[1].tok, Tok::Ident(n) if n == name)
+            && w[1].in_test
+    })
+}
+
 /// Validates the literal pool and the registry against each other.
 /// `registry` is `None` when `schema_registry.toml` is missing, which
 /// turns every non-test schema literal into a finding.
 pub fn check(
     registry: Option<&SchemaRegistry>,
     literals: &[Literal],
-    graph: &SymbolGraph,
+    sources: &[SourceFile],
     out: &mut Vec<Finding>,
 ) {
     // Pass 1: literals → registration requirement; collect all usage
@@ -116,7 +126,8 @@ pub fn check(
             Some(parts) => parts,
             None => continue,
         };
-        if graph.file(file).is_none() {
+        let scanned = sources.iter().find(|s| s.rel == file);
+        if scanned.is_none() {
             out.push(Finding::new(
                 SCHEMA_VERSION,
                 REGISTRY_PATH,
@@ -127,7 +138,7 @@ pub fn check(
                     entry.id
                 ),
             ));
-        } else if !graph.has_test_fn(file, test_fn) {
+        } else if !scanned.is_some_and(|s| has_test_fn(&s.lexed, test_fn)) {
             out.push(Finding::new(
                 SCHEMA_VERSION,
                 REGISTRY_PATH,
@@ -158,7 +169,6 @@ pub fn check(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::SourceFile;
 
     fn source(rel: &str, src: &str) -> SourceFile {
         SourceFile { rel: rel.to_string(), text: src.to_string(), lexed: lex(src) }
@@ -183,8 +193,8 @@ mod tests {
         }
     "#;
 
-    fn graph() -> SymbolGraph {
-        SymbolGraph::build(&[source("crates/sim/src/stepper.rs", DECODER)])
+    fn sources() -> Vec<SourceFile> {
+        vec![source("crates/sim/src/stepper.rs", DECODER)]
     }
 
     fn registry(text: &str) -> SchemaRegistry {
@@ -212,7 +222,7 @@ mod tests {
         check(
             Some(&reg),
             &[lit("fairsched-session-snapshot/v1", false)],
-            &graph(),
+            &sources(),
             &mut out,
         );
         assert!(out.is_empty(), "{out:?}");
@@ -221,7 +231,7 @@ mod tests {
     #[test]
     fn unregistered_literal_and_missing_registry_are_findings() {
         let mut out = Vec::new();
-        check(None, &[lit("fairsched-session-snapshot/v1", false)], &graph(), &mut out);
+        check(None, &[lit("fairsched-session-snapshot/v1", false)], &sources(), &mut out);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("missing"));
 
@@ -230,7 +240,7 @@ mod tests {
         check(
             Some(&reg),
             &[lit("fairsched-session-snapshot/v1", false)],
-            &graph(),
+            &sources(),
             &mut out,
         );
         assert_eq!(out.len(), 1, "{out:?}");
@@ -249,7 +259,7 @@ mod tests {
         check(
             Some(&reg),
             &[lit("fairsched-session-snapshot/v1", true)],
-            &graph(),
+            &sources(),
             &mut out,
         );
         assert!(out.is_empty(), "{out:?}");
@@ -260,7 +270,7 @@ mod tests {
         check(
             Some(&reg),
             &[allowed, lit("fairsched-session-snapshot/v1", false)],
-            &graph(),
+            &sources(),
             &mut out,
         );
         assert!(out.is_empty(), "{out:?}");
@@ -268,6 +278,8 @@ mod tests {
 
     #[test]
     fn broken_pointers_and_stale_entries_are_findings() {
+        // The first pointer names a test renamed away from a scanned
+        // file; the second names a file that is not there at all.
         let reg = registry(
             "[[schema]]\nid = \"fairsched-session-snapshot/v1\"\n\
              decode_test = \"crates/sim/src/stepper.rs::renamed_away\"\n\
@@ -278,7 +290,7 @@ mod tests {
         check(
             Some(&reg),
             &[lit("fairsched-session-snapshot/v1", false)],
-            &graph(),
+            &sources(),
             &mut out,
         );
         let msgs: Vec<&str> = out.iter().map(|f| f.message.as_str()).collect();
@@ -290,9 +302,30 @@ mod tests {
     }
 
     #[test]
+    fn test_fns_are_found_by_the_lexers_test_scope() {
+        let src = r#"
+            pub struct Engine { x: u32 }
+            pub fn run() {}
+            impl Engine { fn helper(&self) {} }
+            #[cfg(test)]
+            mod tests {
+                #[test]
+                fn engine_runs() {}
+                fn helper_in_tests() {}
+            }
+        "#;
+        let file = lex(src);
+        assert!(has_test_fn(&file, "engine_runs"));
+        assert!(has_test_fn(&file, "helper_in_tests"));
+        assert!(!has_test_fn(&file, "run"));
+        assert!(!has_test_fn(&file, "helper"));
+        assert!(!has_test_fn(&file, "no_such_fn"));
+    }
+
+    #[test]
     fn non_test_library_fn_does_not_satisfy_decode_test() {
         let src = "pub fn decode_it() {}\n";
-        let g = SymbolGraph::build(&[source("crates/sim/src/stepper.rs", src)]);
+        let g = vec![source("crates/sim/src/stepper.rs", src)];
         let reg = registry(
             "[[schema]]\nid = \"fairsched-session-snapshot/v1\"\n\
              decode_test = \"crates/sim/src/stepper.rs::decode_it\"\n",

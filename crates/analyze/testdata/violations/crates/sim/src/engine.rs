@@ -1,41 +1,12 @@
-//! Seeded semantic-rule violations: `determinism`, `durability`, and
-//! `schema-version` must all fire on this replay-critical file. The
-//! fixture is lexed, never compiled — undefined names are fine.
-
-use std::collections::HashMap;
-use std::time::SystemTime;
+//! Seeded `schema-version` and `hygiene` violations: an unregistered
+//! schema literal and a deliberate clippy exception over its ceiling.
+//! The fixture is lexed, never compiled — undefined names are fine.
 
 pub const ENGINE_SCHEMA: &str = "fairsched-engine-state/v1";
 
-pub fn bad_clock() -> u128 {
-    SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap_or(ZERO).as_nanos()
-}
-
-pub fn bad_hash_iteration(hits: &HashMap<String, u64>) -> u64 {
-    let mut total = 0;
-    for (_site, n) in hits {
-        total += n;
-    }
-    total
-}
-
-pub fn bad_entropy() -> u64 {
-    thread_rng()
-}
-
-pub fn bad_raw_write(path: &std::path::Path, text: &str) -> std::io::Result<()> {
-    std::fs::write(path, text)
-}
-
-pub fn allowed_clock() -> u64 {
-    // lint:allow(determinism) seeded inline-allow coverage
-    let _ = SystemTime::now();
-    0
-}
-
-pub fn allowed_write(path: &std::path::Path) {
-    // lint:allow(durability) seeded inline-allow coverage
-    let _ = std::fs::write(path, "advisory");
+#[expect(clippy::unwrap_used, reason = "over the fixture's ceiling of 0")]
+pub fn over_the_ceiling() -> u64 {
+    parse().unwrap()
 }
 
 #[cfg(test)]
@@ -47,13 +18,6 @@ mod tests {
         assert!(decode("fairsched-engine-journal/v1").is_ok());
     }
 
-    #[test]
-    fn test_scope_is_exempt() {
-        let t = std::time::SystemTime::now();
-        let mut m = std::collections::HashMap::new();
-        m.insert(1, 2);
-        for _ in m.iter() {}
-        std::fs::write("/tmp/x", "fixture").unwrap();
-        let _ = t;
-    }
+    #[expect(clippy::unwrap_used, reason = "test code is not counted")]
+    fn test_scope_is_exempt() {}
 }

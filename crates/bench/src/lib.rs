@@ -14,7 +14,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // clippy.toml exempts test code from `unwrap_used`, `expect_used` and
-// `panic`; the other three panic-site lints have no such setting.
+// `panic`; the other three panic-site lints and the crate's clippy.toml
+// bans (`disallowed_*`) have no such setting.
 #![cfg_attr(test, allow(clippy::todo, clippy::unimplemented, clippy::unreachable))]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod baseline;

@@ -6,8 +6,8 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_exit_2_before_measuring() {
-    let dir =
-        std::env::temp_dir().join(format!("fairsched-bench-args-{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("fairsched-bench-args-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for (args, tolerance) in [
         (&["--samples", "abc"][..], None),

@@ -8,7 +8,10 @@
 //! [`seq::SliceRandom::shuffle`].
 //!
 //! Determinism is part of the contract: the whole experiment pipeline
-//! seeds `StdRng` explicitly and asserts bit-identical reruns.
+//! seeds `StdRng` explicitly and asserts bit-identical reruns. The
+//! entropy constructors (`thread_rng`, `from_entropy`, `OsRng`) are
+//! absent on purpose, and the replay-critical crates' `clippy.toml`
+//! already bans them should they ever appear.
 
 use std::ops::Range;
 

@@ -72,14 +72,21 @@ pub fn scratch_path(path: &Path) -> PathBuf {
 /// first half of the atomic commit; pair with [`commit_scratch`].
 pub fn write_scratch(path: &Path, contents: &str) -> Result<PathBuf, FsError> {
     let tmp = scratch_path(path);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one raw write: the scratch half of the commit"
+    )]
     std::fs::write(&tmp, contents).map_err(|e| FsError::new("write", &tmp, &e))?;
     Ok(tmp)
 }
 
-/// Renames the scratch file into place — the commit point. After this
+/// Renames a staged file into place — the commit point. `tmp` is
+/// usually [`write_scratch`]'s result, but any fully written file works
+/// (serve's accept commits an inbox file into its journal). After this
 /// returns, `path` carries the complete contents; before it, `path` is
-/// untouched (a crash between the halves leaves only the scratch file,
-/// which the next run overwrites).
+/// untouched (a crash between the halves leaves only the staged file,
+/// which the next run overwrites or retries).
+#[expect(clippy::disallowed_methods, reason = "the one raw rename: the commit point")]
 pub fn commit_scratch(tmp: &Path, path: &Path) -> Result<(), FsError> {
     std::fs::rename(tmp, path).map_err(|e| FsError::new("rename", path, &e))
 }
@@ -96,6 +103,7 @@ pub fn atomic_write(path: &Path, contents: &str) -> Result<(), FsError> {
 /// file if needed. A single `write_all` of one line keeps the torn
 /// window as small as the filesystem allows.
 pub fn append_line(path: &Path, line: &str) -> Result<(), FsError> {
+    #[expect(clippy::disallowed_methods, reason = "the one raw append: the line journal")]
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -140,16 +148,9 @@ pub fn read_lines_tolerant<T>(
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fairsched-core-journal-{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn atomic_write_leaves_no_scratch() {
-        let dir = temp_dir("atomic");
+        let dir = crate::scratch_dir("journal-atomic");
         let path = dir.join("out.json");
         atomic_write(&path, "{\"a\":1}").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":1}");
@@ -162,7 +163,7 @@ mod tests {
 
     #[test]
     fn scratch_then_commit_matches_fused_form() {
-        let dir = temp_dir("halves");
+        let dir = crate::scratch_dir("journal-halves");
         let path = dir.join("cell.json");
         let tmp = write_scratch(&path, "body").unwrap();
         assert_eq!(tmp, scratch_path(&path));
@@ -174,7 +175,7 @@ mod tests {
 
     #[test]
     fn append_then_read_preserves_order() {
-        let dir = temp_dir("order");
+        let dir = crate::scratch_dir("journal-order");
         let path = dir.join("journal.jsonl");
         for line in ["one", "two", "three"] {
             append_line(&path, line).unwrap();
@@ -188,17 +189,18 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty_journal() {
-        let path = std::env::temp_dir().join("fairsched-core-journal-none.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let dir = crate::scratch_dir("journal-none");
+        let path = dir.join("journal.jsonl");
         let (entries, truncated) =
             read_lines_tolerant(&path, |l| Some(l.to_string())).unwrap();
         assert!(entries.is_empty());
         assert!(!truncated);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_final_line_sets_truncated() {
-        let dir = temp_dir("torn");
+        let dir = crate::scratch_dir("journal-torn");
         let path = dir.join("journal.jsonl");
         append_line(&path, "good").unwrap();
         // Simulate a kill mid-append: a partial line with no newline.
@@ -214,7 +216,7 @@ mod tests {
 
     #[test]
     fn blank_lines_are_skipped_not_truncating() {
-        let dir = temp_dir("blank");
+        let dir = crate::scratch_dir("journal-blank");
         let path = dir.join("journal.jsonl");
         std::fs::write(&path, "a\n\n  \nb\n").unwrap();
         let (entries, truncated) =

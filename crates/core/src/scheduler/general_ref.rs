@@ -34,7 +34,7 @@ use crate::schedule::{Schedule, ScheduledJob};
 use crate::utility::Utility;
 use coopgame::{factorial, Coalition, Player};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// A partially materialized hypothetical schedule for one coalition.
@@ -148,13 +148,13 @@ pub struct GeneralRefScheduler {
     utility: Arc<dyn Utility + Send + Sync>,
     trace: Arc<Trace>,
     sims: Vec<GenSim>,
-    index: HashMap<u64, usize>,
+    index: BTreeMap<u64, usize>,
     events: BinaryHeap<Reverse<(Time, usize)>>,
     grand: Coalition,
     /// The real schedule, mirrored from engine events (completion times
     /// filled in as they are revealed).
     real: GenSim,
-    real_pos: HashMap<JobId, usize>,
+    real_pos: BTreeMap<JobId, usize>,
     sign: f64,
 }
 
@@ -179,7 +179,7 @@ impl GeneralRefScheduler {
         let machines: Vec<usize> = trace.orgs().iter().map(|o| o.n_machines).collect();
         let grand = Coalition::grand(k);
         let mut sims = Vec::new();
-        let mut index = HashMap::new();
+        let mut index = BTreeMap::new();
         for c in grand.proper_subsets() {
             if c.is_empty() {
                 continue;
@@ -197,7 +197,7 @@ impl GeneralRefScheduler {
             events: BinaryHeap::new(),
             grand,
             real: GenSim::new(grand, k, machines.iter().sum()),
-            real_pos: HashMap::new(),
+            real_pos: BTreeMap::new(),
             sign,
         }
     }
@@ -263,7 +263,7 @@ impl GeneralRefScheduler {
         };
         let size = c.len();
         // Subcoalition value table (signed), v(∅) = 0.
-        let mut values: HashMap<u64, f64> = HashMap::with_capacity(1 << size);
+        let mut values: BTreeMap<u64, f64> = BTreeMap::new();
         values.insert(0, 0.0);
         for s in c.subsets() {
             if s.is_empty() {
@@ -279,7 +279,7 @@ impl GeneralRefScheduler {
         }
         // Shapley contributions of the members.
         let n_fact = factorial(size) as f64;
-        let mut phi: HashMap<usize, f64> = HashMap::new();
+        let mut phi: BTreeMap<usize, f64> = BTreeMap::new();
         for p in c.members() {
             let others = c.remove(p);
             let mut acc = 0.0;
@@ -290,7 +290,7 @@ impl GeneralRefScheduler {
             }
             phi.insert(p.0, acc);
         }
-        let base_psi: HashMap<usize, f64> = c
+        let base_psi: BTreeMap<usize, f64> = c
             .members()
             .map(|p| (p.0, self.psi(&sim.schedule_at(t), OrgId(p.0 as u32), t)))
             .collect();

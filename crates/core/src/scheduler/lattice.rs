@@ -88,7 +88,7 @@ use crate::model::{OrgId, Time};
 use crate::utility::{SpTracker, Util};
 use coopgame::{factorial, Coalition, Player};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Scheduling policy inside each tracked coalition.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -353,7 +353,11 @@ impl CoalitionSim {
 #[derive(Clone, Debug)]
 enum CoalitionIndex {
     Dense(Vec<u32>),
-    Sparse(HashMap<u64, u32>),
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only: the index is never iterated"
+    )]
+    Sparse(std::collections::HashMap<u64, u32>),
 }
 
 /// Sentinel for "not tracked" in the dense table.

@@ -101,9 +101,7 @@ mod tests {
 
     #[test]
     fn append_then_read_preserves_order() {
-        let dir = std::env::temp_dir().join("fairsched-journal-test-order");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("journal-order");
         let path = dir.join("journal.jsonl");
         let entries = vec![
             entry("a", "running", 1),
@@ -121,16 +119,14 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty_journal() {
-        let path = std::env::temp_dir().join("fairsched-journal-test-none.jsonl");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(read_journal(&path).unwrap(), Journal::default());
+        let dir = crate::scratch_dir("journal-none");
+        assert_eq!(read_journal(&dir.join("journal.jsonl")).unwrap(), Journal::default());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_final_line_sets_truncated() {
-        let dir = std::env::temp_dir().join("fairsched-journal-test-torn");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("journal-torn");
         let path = dir.join("journal.jsonl");
         append(&path, &entry("a", "done", 1)).unwrap();
         // Simulate a kill mid-append: a partial JSON line with no close.

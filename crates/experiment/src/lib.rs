@@ -29,8 +29,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // clippy.toml exempts test code from `unwrap_used`, `expect_used` and
-// `panic`; the other three panic-site lints have no such setting.
+// `panic`; the other three panic-site lints and the crate's clippy.toml
+// bans (`disallowed_*`) have no such setting.
 #![cfg_attr(test, allow(clippy::todo, clippy::unimplemented, clippy::unreachable))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod cell;
 pub mod failpoint;
@@ -46,3 +48,17 @@ pub use runner::{
     StatusSummary, REPORT_SCHEMA,
 };
 pub use spec::{ExperimentSpec, RetryPolicy, SeedPlan, SpecLoadError, SPEC_SCHEMA};
+
+/// A fresh, empty directory for one test under the system temp dir. Its
+/// name carries the process id and a per-process counter, so neither two
+/// test runs nor two tests of one run ever share it.
+#[cfg(test)]
+pub(crate) fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join(format!("fairsched-experiment-{tag}-{}-{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}

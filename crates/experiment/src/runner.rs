@@ -660,9 +660,7 @@ mod tests {
     }
 
     fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fairsched-runner-test-{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+        crate::scratch_dir(&format!("runner-{tag}"))
     }
 
     fn read(dir: &Path, name: &str) -> String {

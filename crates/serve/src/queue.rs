@@ -57,13 +57,14 @@ impl StampSource {
     /// The next leading stamp component.
     fn next_lead(&self) -> u128 {
         match self {
-            StampSource::WallClock => {
-                // lint:allow(determinism) wall time only pre-orders inbox files; the journal seq assigned at acceptance is the replayed total order
-                std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .unwrap_or(std::time::Duration::ZERO)
-                    .as_nanos()
-            }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall time only pre-orders inbox files; the journal seq assigned at acceptance is the replayed total order"
+            )]
+            StampSource::WallClock => std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap_or(std::time::Duration::ZERO)
+                .as_nanos(),
             StampSource::Counter(c) => u128::from(c.fetch_add(1, Ordering::Relaxed)),
         }
     }
@@ -143,7 +144,7 @@ impl SubmissionQueue {
     /// that commits the message into the journal.
     pub fn accept(&self, from: &Path, seq: u64) -> Result<PathBuf, FsError> {
         let to = self.accepted_path(seq);
-        std::fs::rename(from, &to).map_err(|e| FsError::new("rename", &to, &e))?;
+        fairsched_core::journal::commit_scratch(from, &to)?;
         Ok(to)
     }
 
@@ -213,16 +214,9 @@ fn parse_seq(path: &Path) -> Option<u64> {
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("fairsched-serve-queue-{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn submit_accept_result_lifecycle() {
-        let dir = temp_dir("lifecycle");
+        let dir = crate::scratch_dir("queue-lifecycle");
         let q = SubmissionQueue::open(&dir).unwrap();
         let first = q
             .submit(&Message::Submit { org: 0, release: 3, proc_time: 2, deadline: None })
@@ -252,7 +246,7 @@ mod tests {
 
     #[test]
     fn counter_stamps_are_deterministic_and_ordered() {
-        let dir = temp_dir("counter-stamps");
+        let dir = crate::scratch_dir("queue-counter-stamps");
         let q = SubmissionQueue::open_with_stamps(&dir, StampSource::counter()).unwrap();
         let first = q.submit(&Message::Advance { until: 1 }).unwrap();
         let second = q.submit(&Message::Advance { until: 2 }).unwrap();
@@ -267,7 +261,7 @@ mod tests {
 
     #[test]
     fn scratch_files_are_invisible_to_pending() {
-        let dir = temp_dir("scratch");
+        let dir = crate::scratch_dir("queue-scratch");
         let q = SubmissionQueue::open(&dir).unwrap();
         std::fs::write(dir.join("queue/inbox/123.json.tmp"), "{torn").unwrap();
         assert!(q.pending().unwrap().is_empty());

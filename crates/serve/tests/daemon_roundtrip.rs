@@ -6,6 +6,7 @@
 
 // clippy.toml exempts `#[test]` fns; the helpers below are test code too.
 #![allow(clippy::unwrap_used, reason = "test helpers, like the tests they serve, unwrap")]
+#![allow(clippy::disallowed_methods, reason = "tests plant torn files with raw writes")]
 
 use fairsched_core::model::OrgId;
 use fairsched_serve::{Daemon, HttpServer, Message, ServeConfig, SubmissionQueue};
@@ -16,7 +17,8 @@ use std::path::PathBuf;
 const WORKLOAD: &str = "fpt:horizon=120,k=2,maxdur=20,median=8";
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fairsched-serve-test-{tag}"));
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("fairsched-serve-test-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir

@@ -90,6 +90,10 @@ fn largest_remainder(total: usize, weights: &[f64], k: usize) -> Vec<usize> {
 /// or multiplicity), which lets streaming ingestion reproduce the exact
 /// mapping from a first pass over the log.
 pub struct UserAssignment {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only: the map is never iterated"
+    )]
     user_org: std::collections::HashMap<u32, usize>,
 }
 

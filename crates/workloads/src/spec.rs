@@ -719,13 +719,12 @@ mod tests {
         // Seed-independent: the file is the trace.
         assert_eq!(a, registry.build(&spec, &ctx(99)).unwrap());
         // Export ∘ import is the identity.
-        let dir = std::env::temp_dir().join("fairsched_trace_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("trace-roundtrip");
         let path = dir.join("roundtrip.json");
         write_trace_json(&a, &path).unwrap();
         let spec2 = WorkloadSpec::bare("trace").with("path", path.display());
         assert_eq!(registry.build(&spec2, &ctx(3)).unwrap(), a);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -748,8 +747,7 @@ mod tests {
             Err(WorkloadError::Json { .. })
         ));
         // A parseable file describing an invalid trace fails validation.
-        let dir = std::env::temp_dir().join("fairsched_trace_invalid");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch_dir("trace-invalid");
         let path = dir.join("invalid.json");
         std::fs::write(
             &path,
@@ -762,7 +760,7 @@ mod tests {
             registry.build(&spec, &ctx(0)),
             Err(WorkloadError::InvalidTrace(TraceError::ZeroProcTime { .. }))
         ));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -447,6 +447,10 @@ fn replay(
     // Slot `i` is the `i`-th distinct user of the log and whether it
     // submitted inside the window; it is the provisional org id of that
     // user's jobs.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only: slots keep first-sight order in `slots`"
+    )]
     let mut slot_of: std::collections::HashMap<u32, usize> = Default::default();
     let mut slots: Vec<(u32, bool)> = Vec::new();
     let mut sink = StatsSink::default();
@@ -560,8 +564,7 @@ mod tests {
 
     impl TempLog {
         fn new(name: &str, text: impl AsRef<[u8]>) -> Self {
-            let path = std::env::temp_dir()
-                .join(format!("fairsched-swf-{}-{name}.swf", std::process::id()));
+            let path = crate::scratch_dir("swf").join(format!("{name}.swf"));
             std::fs::write(&path, text).unwrap();
             TempLog(path)
         }
@@ -573,7 +576,9 @@ mod tests {
 
     impl Drop for TempLog {
         fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
+            if let Some(dir) = self.0.parent() {
+                let _ = std::fs::remove_dir_all(dir);
+            }
         }
     }
 

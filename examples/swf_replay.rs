@@ -53,7 +53,8 @@ fn main() -> Result<(), SimError> {
     // Replay through the workload registry: on disk, any archive log is
     // addressable as an `swf:` spec (two organizations, four machines
     // split by Zipf, users dealt uniformly — all parameters of the spec).
-    let log_path = std::env::temp_dir().join("fairsched_swf_replay_example.swf");
+    let log_path = std::env::temp_dir()
+        .join(format!("fairsched_swf_replay_example-{}.swf", std::process::id()));
     std::fs::write(&log_path, SAMPLE_LOG).expect("writable temp dir");
     let spec = WorkloadSpec::bare("swf")
         .with("path", log_path.display())
@@ -61,7 +62,9 @@ fn main() -> Result<(), SimError> {
         .with("orgs", 2)
         .with("end", 1_000);
     println!("\nworkload spec: {spec}");
-    let trace = WorkloadRegistry::shared().build(&spec, &WorkloadContext { seed: 7 })?;
+    let trace = WorkloadRegistry::shared().build(&spec, &WorkloadContext { seed: 7 });
+    let _ = std::fs::remove_file(&log_path);
+    let trace = trace?;
     let horizon = 300;
 
     let fair = Simulation::new(&trace).scheduler("ref")?.horizon(horizon).run()?;

@@ -43,7 +43,8 @@ fn sweep_spec(name: &str) -> ExperimentSpec {
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fairsched-exp-resume-{tag}"));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("fairsched-exp-resume-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -31,7 +31,8 @@ fn fixture_spec(plan: &str) -> ExperimentSpec {
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fairsched-exp-rows-{tag}"));
+    let dir =
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("fairsched-exp-rows-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

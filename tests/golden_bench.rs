@@ -68,7 +68,7 @@ fn all_bits(v: &Value) -> Vec<u64> {
 fn run_golden_spec(stem: &str) -> PathBuf {
     let path = golden_dir().join(format!("{stem}.experiment.json"));
     let spec = ExperimentSpec::from_json_str(&read(&path)).unwrap();
-    let dir = std::env::temp_dir()
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("fairsched-golden-bench-{stem}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let summary = Runner::new(spec, &dir, RunnerOptions::default()).run().unwrap();

@@ -174,8 +174,8 @@ fn cli_rejects_unknown_and_malformed_options() {
 /// daemon that accepts the command line would wait for a stop message.
 #[test]
 fn serve_and_submit_reject_unknown_options() {
-    let dir =
-        std::env::temp_dir().join(format!("fairsched-cli-flags-{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("fairsched-cli-flags-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_arg = dir.to_str().expect("utf-8 temp dir");
 

@@ -16,7 +16,8 @@ const WORKLOAD: &str = "fpt:horizon=120,k=2,maxdur=20,median=8";
 const REPLAY_BOUND: u64 = 64;
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fairsched-serve-durability-{tag}"));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("fairsched-serve-durability-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -143,7 +144,7 @@ fn a_daemon_killed_after_any_message_reopens_as_if_never_killed() {
     }
     let _ = std::fs::remove_dir_all(whole);
     let _ = std::fs::remove_dir_all(
-        std::env::temp_dir().join("fairsched-serve-durability-killed"),
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join("fairsched-serve-durability-killed"),
     );
 }
 

@@ -20,7 +20,7 @@ struct TempLog(PathBuf);
 
 impl TempLog {
     fn new(name: &str, bytes: impl AsRef<[u8]>) -> Self {
-        let path = std::env::temp_dir()
+        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
             .join(format!("fairsched-cli-swf-{}-{name}.swf", std::process::id()));
         std::fs::write(&path, bytes).unwrap();
         TempLog(path)
@@ -166,7 +166,7 @@ fn user_first_seen_after_the_window_is_left_out() {
 
 #[test]
 fn missing_log_is_a_typed_error() {
-    let path = std::env::temp_dir()
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("fairsched-cli-swf-{}-missing.swf", std::process::id()));
     let path = path.to_str().unwrap();
     assert_eq!(
